@@ -28,8 +28,9 @@ def _sieve(limit: int) -> tuple[int, ...]:
 
 _SMALL_PRIMES = _sieve(_TRIAL_BOUND)
 
-# Miller-Rabin with these witnesses is a proven deterministic primality
-# test for all n < 3.3e24, which covers the full 63-bit range.
+# Miller-Rabin with the first 12 prime witnesses is a proven deterministic
+# primality test for all n < psi_12 ~ 3.18e23, which covers the full 63-bit
+# range.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 

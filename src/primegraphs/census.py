@@ -12,6 +12,15 @@ is found by a breadth-first search over partial orderings that keeps, level
 by level, exactly the prefixes achieving the smallest chunk so far; twin
 vertices and prefixes with identical continuations are collapsed to keep
 the frontier small.
+
+The census of k-regular graphs generates labeled graphs row by row and
+prunes interchangeable vertices: when row v is filled, candidates u > v
+with equal adjacency to 0..v-1 form a class, and only combinations taking
+the lowest-indexed members of each class are kept.  A transposition within
+a class is an automorphism of the partial graph fixing rows 0..v, so every
+isomorphism class keeps a labeling.  The survivors are reduced to classes
+by an invariant prescreen plus explicit isomorphism tests, and each class
+is canonicalized once.
 """
 
 from __future__ import annotations
@@ -289,10 +298,16 @@ class Census:
         return len(self.classes)
 
 
-def _labeled_regular(n: int, k: int, fix_first_row: bool) -> Iterator[Rows]:
-    """All labeled k-regular graphs on vertices 0..n-1, generated row by
-    row; with fix_first_row, vertex 0's neighborhood is pinned to 1..k
-    (every class has such a labeling, so no class is lost)."""
+def _labeled_regular(n: int, k: int, prune: bool) -> Iterator[Rows]:
+    """Labeled k-regular graphs on vertices 0..n-1, generated row by row.
+
+    Without prune, every labeled graph is yielded.  With prune, when row v
+    is filled the candidates u > v fall into classes of equal adjacency to
+    0..v-1, and only combinations taking the lowest-indexed members of each
+    class are kept.  Two members of a class are swapped by a transposition
+    that is an automorphism of the partial graph fixing rows 0..v, so by
+    induction every labeled graph is isomorphic to one that is kept.
+    """
     rows = [0] * n
     deg = [0] * n
 
@@ -303,6 +318,18 @@ def _labeled_regular(n: int, k: int, fix_first_row: bool) -> Iterator[Rows]:
         positive = sum(1 for r in residual if r > 0)
         return all(r <= positive - 1 or r == 0 for r in residual)
 
+    def picks(classes: list[list[int]], need: int) -> Iterator[tuple[int, ...]]:
+        # Choices of `need` vertices that take a prefix of every class.
+        if need == 0:
+            yield ()
+            return
+        if not classes:
+            return
+        first, rest = classes[0], classes[1:]
+        for taken in range(min(need, len(first)) + 1):
+            for tail in picks(rest, need - taken):
+                yield (*first[:taken], *tail)
+
     def fill(v: int) -> Iterator[Rows]:
         if v == n:
             yield tuple(rows)
@@ -312,7 +339,15 @@ def _labeled_regular(n: int, k: int, fix_first_row: bool) -> Iterator[Rows]:
             yield from fill(v + 1)
             return
         candidates = [u for u in range(v + 1, n) if deg[u] < k]
-        for combo in combinations(candidates, need):
+        if prune:
+            # So far rows[u] holds only u's edges to 0..v-1: its class key.
+            classes: dict[int, list[int]] = {}
+            for u in candidates:
+                classes.setdefault(rows[u], []).append(u)
+            combos = picks(list(classes.values()), need)
+        else:
+            combos = combinations(candidates, need)
+        for combo in combos:
             for u in combo:
                 rows[v] |= 1 << u
                 rows[u] |= 1 << v
@@ -326,18 +361,7 @@ def _labeled_regular(n: int, k: int, fix_first_row: bool) -> Iterator[Rows]:
                 rows[u] ^= 1 << v
                 deg[u] -= 1
 
-    if k == 0:
-        yield tuple(rows)
-        return
-    if fix_first_row:
-        for u in range(1, k + 1):
-            rows[0] |= 1 << u
-            rows[u] |= 1
-            deg[u] = 1
-        deg[0] = k
-        yield from fill(1)
-    else:
-        yield from fill(0)
+    yield from fill(0)
 
 
 def _edge_invariant(n: int, rows: Rows) -> tuple:
@@ -353,10 +377,13 @@ def _edge_invariant(n: int, rows: Rows) -> tuple:
 def enumerate_regular(n: int, k: int) -> Census:
     """All isomorphism classes of k-regular graphs on n vertices.
 
-    Labeled graphs are generated with the first row pinned, then reduced to
-    classes by an invariant prescreen plus explicit isomorphism tests; only
-    new classes are canonicalized.  Correctness is anchored by the
-    independent oracle below.
+    Labeled graphs are generated row by row, keeping at each row only the
+    lowest-indexed members of every class of candidates with equal
+    adjacency to the rows already filled; swapping two members of a class
+    is an automorphism of the partial graph, so no isomorphism class is
+    lost.  They are reduced to classes by an invariant prescreen plus
+    explicit isomorphism tests; only new classes are canonicalized.
+    Correctness is anchored by the independent, unpruned oracle below.
     """
     if not 0 <= k < n:
         raise ValueError("need 0 <= k < n")
@@ -365,7 +392,7 @@ def enumerate_regular(n: int, k: int) -> Census:
     if n * k % 2:
         return Census(n, k, (), parity_ok=False)
     buckets: dict[tuple, list[Rows]] = {}
-    for rows in _labeled_regular(n, k, fix_first_row=True):
+    for rows in _labeled_regular(n, k, prune=True):
         inv = _edge_invariant(n, rows)
         reps = buckets.setdefault(inv, [])
         if not any(_find_isomorphism(n, rows, rep) for rep in reps):
@@ -383,7 +410,7 @@ def enumerate_regular_oracle(n: int, k: int) -> Census:
         raise ValueError("oracle supports 0 <= k < n <= 8")
     if n * k % 2:
         return Census(n, k, (), parity_ok=False)
-    seen = {canonicalize(n, rows) for rows in _labeled_regular(n, k, False)}
+    seen = {canonicalize(n, rows) for rows in _labeled_regular(n, k, prune=False)}
     return Census(n, k, tuple(sorted(seen)), parity_ok=True)
 
 

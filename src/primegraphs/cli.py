@@ -97,13 +97,17 @@ def _cmd_enum(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    bounds = verify.Bounds(
-        psl2_max=args.psl2_max,
-        suzuki_max=args.suzuki_max,
-        psl3_max=args.psl3_max,
-        psu3_max=args.psu3_max,
-        product_trials=args.product_trials,
-    )
+    try:
+        bounds = verify.Bounds(
+            psl2_max=args.psl2_max,
+            suzuki_max=args.suzuki_max,
+            psl3_max=args.psl3_max,
+            psu3_max=args.psu3_max,
+            product_trials=args.product_trials,
+        )
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     if args.only:
         try:
             report = verify.Report((verify.run_one(args.only, bounds),))

@@ -12,7 +12,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterator
 
 from .arithmetic import PrimeSet, as_prime_power, prime_set
 from .groups import (

@@ -12,11 +12,11 @@ from __future__ import annotations
 import json
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 from typing import Callable
 
-from .arithmetic import PrimeSet, is_prime, prime_set
+from .arithmetic import is_prime, prime_set
 from .census import (
     GraphClass,
     complete_class,
@@ -39,7 +39,6 @@ from .groups import (
     degree_table,
     group_order,
     prime_powers,
-    prime_set_by_family_rule,
     prime_set_of_group,
 )
 from .prime_graph import PrimeGraph, graph_from_degrees, graph_of, product_graph, structural_graph
@@ -53,6 +52,16 @@ class Bounds:
     psu3_max: int = 200
     product_trials: int = 1000
     seed: int = 20260823
+
+    def __post_init__(self) -> None:
+        for name in ("psl2_max", "suzuki_max", "psl3_max", "psu3_max"):
+            value = getattr(self, name)
+            if value <= 0:
+                raise ValueError(f"{name} must be positive, got {value}")
+        if self.product_trials < 0:
+            raise ValueError(
+                f"product_trials must be non-negative, got {self.product_trials}"
+            )
 
 
 @dataclass(frozen=True)

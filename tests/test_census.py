@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from primegraphs.census import (
     GraphClass,
+    _labeled_regular,
     canonicalize,
     catalog,
     class_from_edges,
@@ -121,6 +122,56 @@ def test_oracle_agreement():
             slow = enumerate_regular_oracle(n, k)
             assert fast.classes == slow.classes, (n, k)
             assert fast.parity_ok == slow.parity_ok
+
+
+def partitions(n, smallest=3):
+    """Partitions of n into parts >= smallest."""
+    if n == 0:
+        return 1
+    return sum(partitions(n - p, p) for p in range(smallest, n + 1))
+
+
+# Published class counts (disconnected graphs included).  Cubic n = 10: 19
+# connected (OEIS A002851) plus K4 with each of the 2 connected cubic graphs
+# on 6 vertices.  Quartic n = 10: 59 connected (OEIS A006820) plus K5 + K5.
+PUBLISHED = {
+    (4, 3): 1, (6, 3): 2, (8, 3): 6, (10, 3): 21,
+    (5, 4): 1, (6, 4): 1, (7, 4): 2, (8, 4): 6, (9, 4): 16, (10, 4): 60,
+}
+
+
+def test_census_through_ten_vertices():
+    counts = {
+        (n, k): len(enumerate_regular(n, k)) for n in range(1, 11) for k in range(n)
+    }
+    for (n, k), count in counts.items():
+        if n * k % 2:
+            assert count == 0, (n, k)
+        elif k == 2:
+            assert count == partitions(n), (n, k)
+        elif k in (0, 1, n - 1):
+            assert count == 1, (n, k)
+        assert count == counts[n, n - 1 - k], (n, k)
+    for cell, count in PUBLISHED.items():
+        assert counts[cell] == count, cell
+
+
+def test_pruned_labeled_graphs_are_regular_and_distinct():
+    total = 0
+    for n in range(1, 10):
+        for k in range(n):
+            if n * k % 2:
+                continue
+            graphs = list(_labeled_regular(n, k, prune=True))
+            assert graphs, (n, k)
+            for rows in graphs:
+                assert rows_from_edges(n, GraphClass(n, rows).edges()) == rows
+                assert all(row.bit_count() == k for row in rows), (n, k)
+            assert len(set(graphs)) == len(graphs), (n, k)
+            total += len(graphs)
+    # The class rule keeps 417 labeled graphs over these 45 cells; pinning
+    # only vertex 0's row would keep 18 351.
+    assert total <= 500
 
 
 def test_triangle_counts():

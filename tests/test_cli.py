@@ -107,6 +107,19 @@ def test_verify_unknown_claim(capsys):
     assert code == 2 and "bogus" in err
 
 
+def test_verify_rejects_bad_bounds(capsys):
+    for argv in (
+        ("--psl2-max", "-5"),
+        ("--suzuki-max", "0"),
+        ("--psl3-max", "-1"),
+        ("--psu3-max", "0"),
+        ("--product-trials", "-1"),
+    ):
+        code, out, err = run(capsys, "verify", "--only", "order6-census", *argv)
+        assert code == 2 and out == "", argv
+        assert err.startswith("error: ") and argv[0][2:].replace("-", "_") in err
+
+
 def test_catalog(capsys):
     code, out, _ = run(capsys, "catalog")
     assert code == 0 and "octahedron" in out and "house" in out

@@ -51,3 +51,16 @@ def test_claim_ids_unique_and_stable():
     assert "regular-implies-complete" in ids
     assert "pentagon-shapes" in ids
     assert "product-join-bound" in ids
+
+
+@pytest.mark.parametrize("field", ["psl2_max", "suzuki_max", "psl3_max", "psu3_max"])
+@pytest.mark.parametrize("value", [0, -5])
+def test_bounds_reject_non_positive_maxima(field, value):
+    with pytest.raises(ValueError, match=field):
+        Bounds(**{field: value})
+
+
+def test_bounds_product_trials():
+    with pytest.raises(ValueError, match="product_trials"):
+        Bounds(product_trials=-1)
+    assert Bounds(product_trials=0).product_trials == 0
