@@ -3,6 +3,17 @@
 Everything here is deterministic and exact for inputs up to MAX_SUPPORTED
 (unsigned 63-bit).  Larger inputs are rejected rather than silently
 mishandled.
+
+`factor` divides out the primes below _TRIAL_BOUND in turn.  Once the next
+trial prime p has p*p greater than the cofactor, every prime below p has
+been divided out, so the cofactor is 1 or prime and is recorded without a
+primality test.  Miller-Rabin and Pollard rho run only on a cofactor left
+when the trial primes run out.
+
+The public `PrimeSet(iterable)` constructor checks every element with
+`is_prime`.  The set algebra (`|`, `&`, `-`) and `Factorization.primes`
+build their results from elements that are already known prime, through
+the unchecked `PrimeSet._known`, and do not check them again.
 """
 
 from __future__ import annotations
@@ -18,15 +29,17 @@ MAX_SUPPORTED = 2**63 - 1
 _TRIAL_BOUND = 1000
 
 
-def _sieve(limit: int) -> tuple[int, ...]:
+def prime_flags(limit: int) -> bytearray:
+    """Sieve of Eratosthenes for limit >= 1: entry i is 1 iff i is prime."""
     flags = bytearray([1]) * (limit + 1)
     flags[0:2] = b"\x00\x00"
     for p in range(2, isqrt(limit) + 1):
         if flags[p]:
             flags[p * p :: p] = bytearray(len(flags[p * p :: p]))
-    return tuple(i for i in range(limit + 1) if flags[i])
+    return flags
 
-_SMALL_PRIMES = _sieve(_TRIAL_BOUND)
+
+_SMALL_PRIMES = tuple(i for i, f in enumerate(prime_flags(_TRIAL_BOUND)) if f)
 
 # Miller-Rabin with the first 12 prime witnesses is a proven deterministic
 # primality test for all n < psi_12 ~ 3.18e23, which covers the full 63-bit
@@ -101,7 +114,7 @@ class Factorization:
             raise ValueError(f"factors do not reconstruct {self.value}")
 
     def primes(self) -> "PrimeSet":
-        return PrimeSet(p for p, _ in self.factors)
+        return PrimeSet._known(p for p, _ in self.factors)
 
 
 @dataclass(frozen=True)
@@ -117,6 +130,14 @@ class PrimeSet:
                 raise ValueError(f"{p} is not prime")
         object.__setattr__(self, "primes", tuple(ps))
 
+    @classmethod
+    def _known(cls, primes) -> "PrimeSet":
+        """A PrimeSet of values already known to be prime, taken from
+        `factor` or from another PrimeSet: the primality check is skipped."""
+        ps = object.__new__(cls)
+        object.__setattr__(ps, "primes", tuple(sorted(set(primes))))
+        return ps
+
     def __iter__(self) -> Iterator[int]:
         return iter(self.primes)
 
@@ -127,13 +148,13 @@ class PrimeSet:
         return p in self.primes
 
     def __or__(self, other: "PrimeSet") -> "PrimeSet":
-        return PrimeSet(self.primes + other.primes)
+        return PrimeSet._known(self.primes + other.primes)
 
     def __and__(self, other: "PrimeSet") -> "PrimeSet":
-        return PrimeSet(p for p in self.primes if p in other)
+        return PrimeSet._known(p for p in self.primes if p in other)
 
     def __sub__(self, other: "PrimeSet") -> "PrimeSet":
-        return PrimeSet(p for p in self.primes if p not in other)
+        return PrimeSet._known(p for p in self.primes if p not in other)
 
     def __le__(self, other: "PrimeSet") -> bool:
         return all(p in other for p in self.primes)
@@ -151,19 +172,23 @@ def factor(n: int) -> Factorization:
     m = n
     for p in _SMALL_PRIMES:
         if p * p > m:
+            # Every prime below p is divided out, so m is 1 or prime.
+            if m > 1:
+                counts[m] = 1
             break
         while m % p == 0:
             counts[p] = counts.get(p, 0) + 1
             m //= p
-    stack = [m] if m > 1 else []
-    while stack:
-        m = stack.pop()
-        if is_prime(m):
-            counts[m] = counts.get(m, 0) + 1
-            continue
-        d = _pollard_rho(m)
-        stack.append(d)
-        stack.append(m // d)
+    else:
+        stack = [m] if m > 1 else []
+        while stack:
+            m = stack.pop()
+            if is_prime(m):
+                counts[m] = counts.get(m, 0) + 1
+                continue
+            d = _pollard_rho(m)
+            stack.append(d)
+            stack.append(m // d)
     return Factorization(n, tuple(sorted(counts.items())))
 
 

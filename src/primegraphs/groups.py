@@ -16,11 +16,11 @@ from pathlib import Path
 from typing import Iterator, Optional
 
 from .arithmetic import (
-    MAX_SUPPORTED,
     PrimeSet,
     as_prime_power,
     is_mersenne_prime_exponent,
     is_prime,
+    prime_flags,
     prime_set,
 )
 
@@ -253,22 +253,20 @@ def _table_for(spec: GroupSpec) -> Optional[DegreeTable]:
 # Orders.
 
 def group_order(spec: GroupSpec) -> int:
+    """Exact order for every valid spec; it may exceed the 63-bit range
+    that `factor` accepts."""
     fam, q = spec.family, spec.parameter
     if fam is Family.PSL2:
-        order = q * (q * q - 1) // math.gcd(2, q - 1)
-    elif fam is Family.PSL3:
-        order = q**3 * (q**3 - 1) * (q * q - 1) // math.gcd(3, q - 1)
-    elif fam is Family.PSU3:
-        order = q**3 * (q**3 + 1) * (q * q - 1) // math.gcd(3, q + 1)
-    elif fam is Family.SUZUKI:
-        order = q * q * (q * q + 1) * (q - 1)  # parameter is q**2
-    else:
-        table = _table_for(spec)
-        assert table is not None
-        return table.order
-    if order > MAX_SUPPORTED:
-        raise OverflowError(f"|{spec}| exceeds the supported range")
-    return order
+        return q * (q * q - 1) // math.gcd(2, q - 1)
+    if fam is Family.PSL3:
+        return q**3 * (q**3 - 1) * (q * q - 1) // math.gcd(3, q - 1)
+    if fam is Family.PSU3:
+        return q**3 * (q**3 + 1) * (q * q - 1) // math.gcd(3, q + 1)
+    if fam is Family.SUZUKI:
+        return q * q * (q * q + 1) * (q - 1)  # parameter is q**2
+    table = _table_for(spec)
+    assert table is not None
+    return table.order
 
 
 # ---------------------------------------------------------------------------
@@ -296,8 +294,8 @@ def character_degrees(spec: GroupSpec) -> DegreeSet:
 # Prime sets.
 
 def prime_set_of_group(spec: GroupSpec) -> PrimeSet:
-    # For the Lie families the factored form avoids building the full order,
-    # which can exceed the supported integer range for large Suzuki
+    # For the Lie families the factored form avoids factoring the full
+    # order, which can exceed the 63-bit range of `factor` for large Suzuki
     # parameters even though every factor is small.
     if spec.family in (Family.SPORADIC, Family.ALTERNATING):
         return prime_set(group_order(spec))
@@ -314,14 +312,13 @@ def prime_set_by_family_rule(spec: GroupSpec) -> PrimeSet:
     """
     fam, q = spec.family, spec.parameter
     if fam is Family.SUZUKI:
-        return PrimeSet([2]) | prime_set(q - 1) | prime_set(q * q + 1)
-    p, _ = as_prime_power(q)  # type: ignore[misc]
+        return prime_set(q) | prime_set(q - 1) | prime_set(q * q + 1)
     if fam is Family.PSL2:
-        return PrimeSet([p]) | prime_set(q - 1) | prime_set(q + 1)
+        return prime_set(q) | prime_set(q - 1) | prime_set(q + 1)
     if fam is Family.PSL3:
-        return PrimeSet([p]) | prime_set((q - 1) * (q + 1) * (q * q + q + 1))
+        return prime_set(q) | prime_set((q - 1) * (q + 1) * (q * q + q + 1))
     if fam is Family.PSU3:
-        return PrimeSet([p]) | prime_set((q - 1) * (q + 1) * (q * q - q + 1))
+        return prime_set(q) | prime_set((q - 1) * (q + 1) * (q * q - q + 1))
     raise UnsupportedFamilyError(f"no family rule for {spec}")
 
 
@@ -357,9 +354,23 @@ def classify_four_prime_psl2(spec: GroupSpec) -> FourPrimeCase:
 # Sweep helpers.
 
 def prime_powers(lo: int, hi: int) -> Iterator[int]:
-    """Prime powers in [lo, hi], ascending."""
+    """Prime powers in [lo, hi], ascending.
+
+    One sieve, no factoring: the primes up to hi are sieved into a
+    bytearray of hi + 1 bytes, then each prime's higher powers are marked
+    in it.
+    """
+    if hi < 2:
+        return
+    flags = prime_flags(hi)
+    # The primes are listed before marking, which sets flags of composites.
+    for p in [p for p in range(2, math.isqrt(hi) + 1) if flags[p]]:
+        power = p * p
+        while power <= hi:
+            flags[power] = 1
+            power *= p
     for n in range(max(lo, 2), hi + 1):
-        if as_prime_power(n) is not None:
+        if flags[n]:
             yield n
 
 

@@ -13,7 +13,7 @@ import json
 from dataclasses import dataclass
 from itertools import combinations
 
-from .arithmetic import PrimeSet, as_prime_power, prime_set
+from .arithmetic import PrimeSet, prime_set
 from .groups import (
     DegreeSet,
     Family,
@@ -54,7 +54,7 @@ class PrimeGraph:
         return _normalize_edge(p, q) in self.edges
 
     def neighbors(self, p: int) -> PrimeSet:
-        return PrimeSet(
+        return PrimeSet._known(
             (b if a == p else a) for a, b in self.edges if p in (a, b)
         )
 
@@ -87,7 +87,7 @@ class PrimeGraph:
             if len(comp) < 2:
                 continue
             out += [p for p in comp if self.degree(p) == len(comp) - 1]
-        return PrimeSet(out)
+        return PrimeSet._known(out)
 
     def connected_components(self) -> tuple[PrimeSet, ...]:
         remaining = set(self.vertices)
@@ -103,7 +103,7 @@ class PrimeGraph:
                         seen.add(w)
                         frontier.append(w)
             remaining -= seen
-            components.append(PrimeSet(seen))
+            components.append(PrimeSet._known(seen))
         return tuple(sorted(components, key=lambda c: min(c)))
 
     def contains_clique(self, k: int) -> bool:
@@ -227,7 +227,7 @@ def structural_graph(spec: GroupSpec) -> PrimeGraph:
         odd = prime_set(q - 1) | prime_set(q * q + 1)
         edges = set(combinations(tuple(odd), 2))
         edges.update((2, r) for r in prime_set(q - 1))
-        return PrimeGraph(PrimeSet([2]) | odd, edges)
+        return PrimeGraph(prime_set(q) | odd, edges)  # q is a power of 2
 
     if fam is Family.PSL3 or fam is Family.PSU3:
         key = canonical_key(spec)
@@ -245,18 +245,16 @@ def structural_graph(spec: GroupSpec) -> PrimeGraph:
             torus = (q - 1) * (q * q - q + 1)
         if cyclotomic:
             return _complete(pi)
-        p, _ = as_prime_power(q)  # type: ignore[misc]
-        rest = pi - PrimeSet([p])
-        edges = set(combinations(tuple(rest), 2))
-        edges.update((p, r) for r in prime_set(torus))
+        defining = prime_set(q)
+        edges = set(combinations(tuple(pi - defining), 2))
+        edges.update((p, r) for p in defining for r in prime_set(torus))
         return PrimeGraph(pi, edges)
 
     # PSL2.  The three smallest members coincide with alternating groups
     # whose degree graphs the generic rules do not cover.
     if q in (4, 5, 9):
         return graph_from_degrees(character_degrees(spec))
-    p, _ = as_prime_power(q)  # type: ignore[misc]
-    vertices = PrimeSet([p]) | prime_set(q - 1) | prime_set(q + 1)
+    vertices = prime_set(q) | prime_set(q - 1) | prime_set(q + 1)
     edges: set[tuple[int, int]] = set()
     for side in (q - 1, q + 1):
         edges.update(combinations(tuple(prime_set(side)), 2))

@@ -130,6 +130,10 @@ def _shape(g: PrimeGraph) -> GraphClass:
     )
 
 
+# A sweep that reaches no item of its kind proves nothing, so it fails.
+_VACUOUS = (False, "checked nothing: bounds too small")
+
+
 # ---------------------------------------------------------------------------
 # Sweeps over the group families.
 
@@ -159,6 +163,8 @@ def _check_structural_agreement(b: Bounds) -> tuple[bool, str]:
         if structural_graph(spec) != graph_from_degrees(character_degrees(spec)):
             return False, f"witness: psl2 {q}"
         count += 1
+    if not count:
+        return _VACUOUS
     return True, f"{count} parameters checked"
 
 
@@ -187,6 +193,8 @@ def _check_pentagon_shapes(b: Bounds) -> tuple[bool, str]:
         hits += 1
         if shape not in allowed:
             return False, f"witness: psl2 {q} with shape edges {shape.edges()}"
+    if not hits:
+        return _VACUOUS
     return True, f"{hits} matching groups, all of the three shapes"
 
 
@@ -199,10 +207,7 @@ def _check_three_prime(b: Bounds) -> tuple[bool, str]:
     expected = {"a5", "a6", "psl2_7", "psl2_8", "psl2_17", "psl3_3", "psu3_3"}
     found = set()
     for spec in all_specs(b.psl2_max, b.suzuki_max, b.psl3_max, b.psu3_max):
-        try:
-            if group_order(spec) >= 10**7:
-                continue
-        except OverflowError:
+        if group_order(spec) >= 10**7:
             continue
         pi = prime_set_of_group(spec)
         if len(pi) == 3:
@@ -235,6 +240,8 @@ def _check_four_prime(b: Bounds) -> tuple[bool, str]:
         got = classify_four_prime_psl2(GroupSpec.psl2(q))
         if got is not want:
             return False, f"witness: psl2 {q} gave {got.value}, expected {want.value}"
+    if not any(counts.values()):
+        return _VACUOUS
     detail = ", ".join(f"{c.value}:{n}" for c, n in counts.items())
     return True, detail
 
@@ -391,6 +398,8 @@ def _check_palfy(b: Bounds) -> tuple[bool, str]:
     "complete vertices as that factor has vertices",
 )
 def _check_product_join(b: Bounds) -> tuple[bool, str]:
+    if not b.product_trials:
+        return _VACUOUS
     rng = random.Random(b.seed)
     pool = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
     for trial in range(b.product_trials):

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -48,6 +49,44 @@ def test_factor_large_semiprimes():
     assert factor(2**61 - 1).factors == ((2**61 - 1, 1),)
 
 
+def _trial_factor(n):
+    # reference: plain trial division by every integer, no shared code
+    out, d = [], 2
+    while d * d <= n:
+        e = 0
+        while n % d == 0:
+            n //= d
+            e += 1
+        if e:
+            out.append((d, e))
+        d += 1
+    if n > 1:
+        out.append((n, 1))
+    return tuple(out)
+
+
+@pytest.mark.parametrize(
+    "n",
+    [
+        997**2, 991 * 997, 997**3, 2 * 997**2, 997 * 1009, 1009**2,
+        1009 * 1013, 1013**2, 2 * 1009**2, 10**6 - 1, 10**6, 10**6 + 1,
+    ],
+)
+def test_factor_around_trial_bound(n):
+    # 997 is the last trial prime and 1009 the next prime: these inputs sit
+    # on both sides of where factor stops trusting trial division and falls
+    # back to Miller-Rabin and Pollard rho
+    f = factor(n)
+    assert f.factors == _trial_factor(n)
+    assert all(is_prime(p) for p, _ in f.factors)
+
+
+@given(st.integers(min_value=1, max_value=4 * 1013**2))
+@settings(max_examples=300, deadline=None)
+def test_factor_matches_trial_division(n):
+    assert factor(n).factors == _trial_factor(n)
+
+
 def test_factorization_validates():
     with pytest.raises(ValueError):
         Factorization(12, ((3, 1), (2, 2)))  # unsorted
@@ -79,6 +118,23 @@ def test_prime_set_algebra():
     assert len(s) == 3 and s.max() == 5
     with pytest.raises(ValueError):
         PrimeSet([4])
+    with pytest.raises(ValueError):
+        PrimeSet([1])
+
+
+_SMALL = [p for p in range(2, 50) if is_prime(p)]  # product below 2**63
+
+
+@given(st.sets(st.sampled_from(_SMALL)), st.sets(st.sampled_from(_SMALL)))
+@settings(max_examples=200, deadline=None)
+def test_prime_set_algebra_matches_checked_constructor(a, b):
+    # the algebra skips the primality check; its results must still equal
+    # what the checking constructor builds from the same elements
+    s, t = PrimeSet(a), PrimeSet(b)
+    assert s | t == PrimeSet(a | b)
+    assert s & t == PrimeSet(a & b)
+    assert s - t == PrimeSet(a - b)
+    assert factor(math.prod(a)).primes() == s
 
 
 def test_as_prime_power_examples():

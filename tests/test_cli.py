@@ -22,6 +22,10 @@ def test_cd_unsupported(capsys):
 def test_order(capsys):
     code, out, _ = run(capsys, "order", "suzuki", "8")
     assert code == 0 and out == "29120\n"
+    # exact beyond 63 bits
+    q = 2**40
+    code, out, _ = run(capsys, "order", "psl2", str(q))
+    assert code == 0 and out == f"{q * (q * q - 1)}\n"
 
 
 def test_graph_formats(capsys):
@@ -118,6 +122,18 @@ def test_verify_rejects_bad_bounds(capsys):
         code, out, err = run(capsys, "verify", "--only", "order6-census", *argv)
         assert code == 2 and out == "", argv
         assert err.startswith("error: ") and argv[0][2:].replace("-", "_") in err
+
+
+def test_verify_fails_when_nothing_checked(capsys):
+    for argv in (
+        ("structural-agreement", "--psl2-max", "1"),
+        ("pentagon-shapes", "--psl2-max", "4"),
+        ("four-prime-psl2-cases", "--psl2-max", "4"),
+        ("product-join-bound", "--product-trials", "0"),
+    ):
+        code, out, err = run(capsys, "verify", "--only", *argv)
+        assert code == 1 and err == "", argv
+        assert f"{argv[0]}  fail  checked nothing: bounds too small\n" in out
 
 
 def test_catalog(capsys):

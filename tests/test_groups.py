@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from primegraphs.arithmetic import prime_set
+from primegraphs.arithmetic import as_prime_power, prime_set
 from primegraphs.groups import (
     Family,
     FourPrimeCase,
@@ -56,8 +56,8 @@ def test_orders():
     assert group_order(GroupSpec.psu3(3)) == 6048
     assert group_order(GroupSpec.sporadic("j1")) == 175560
     assert group_order(GroupSpec.alternating(7)) == math.factorial(7) // 2
-    with pytest.raises(OverflowError):
-        group_order(GroupSpec.suzuki(2**13))
+    # beyond the 63-bit range of factor, still exact: q^4 (q^4+1) (q^2-1)
+    assert group_order(GroupSpec.suzuki(2**13)) == 2**26 * (2**26 + 1) * (2**13 - 1)
 
 
 def test_character_degrees_psl2():
@@ -144,22 +144,31 @@ def test_canonical_keys_fold_aliases():
 
 
 def test_three_prime_sweep():
-    def order_below(spec, bound):
-        try:
-            return group_order(spec) < bound
-        except OverflowError:
-            return False
-
     found = {
         canonical_key(s)
         for s in all_specs()
-        if order_below(s, 10**7) and len(prime_set_of_group(s)) == 3
+        if group_order(s) < 10**7 and len(prime_set_of_group(s)) == 3
     }
     assert found == {"a5", "a6", "psl2_7", "psl2_8", "psl2_17", "psl3_3", "psu3_3"}
     for s in all_specs():
-        if order_below(s, 10**7) and len(prime_set_of_group(s)) == 3:
+        if group_order(s) < 10**7 and len(prime_set_of_group(s)) == 3:
             pi = prime_set_of_group(s)
             assert 2 in pi and 3 in pi
+
+
+def test_prime_powers_matches_factoring():
+    # the sieve against the definition, one as_prime_power call per integer
+    hi_max = 3 * 10**4
+    reference = [n for n in range(2, hi_max + 1) if as_prime_power(n)]
+    his = list(range(-2, 40)) + list(range(40, hi_max + 1, 997)) + [hi_max]
+    for hi in his:
+        for lo in (-5, 0, 1, 2, 3, 4, 100, hi - 1, hi, hi + 1):
+            want = [n for n in reference if lo <= n <= hi]
+            assert list(prime_powers(lo, hi)) == want, (lo, hi)
+    for q in (2, 4, 27, 29, 1024, 29791, 29989):  # lo == hi, a prime power
+        assert list(prime_powers(q, q)) == [q]
+    assert list(prime_powers(30, 30)) == []
+    assert list(prime_powers(10, 5)) == []
 
 
 def test_all_specs_deduplicates():

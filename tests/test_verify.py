@@ -8,14 +8,18 @@ SMALL = Bounds(psl2_max=500, suzuki_max=2**9, psl3_max=50, psu3_max=50,
                product_trials=50)
 
 
-def test_all_claims_pass_at_small_bounds():
-    report = run_all(SMALL)
-    assert report.ok, report.to_table()
-    assert len(report.entries) == len(claim_ids())
+@pytest.fixture(scope="module")
+def small_report():
+    return run_all(SMALL)
 
 
-def test_run_one_matches_run_all():
-    full = {e.id: e for e in run_all(SMALL).entries}
+def test_all_claims_pass_at_small_bounds(small_report):
+    assert small_report.ok, small_report.to_table()
+    assert len(small_report.entries) == len(claim_ids())
+
+
+def test_run_one_matches_run_all(small_report):
+    full = {e.id: e for e in small_report.entries}
     for cid in ("order6-census", "j1-data", "palfy-oracle"):
         single = run_one(cid, SMALL)
         assert single.status == full[cid].status
@@ -27,16 +31,16 @@ def test_unknown_claim():
         run_one("no-such-claim", SMALL)
 
 
-def test_report_is_deterministic():
-    a = run_all(SMALL)
+def test_report_is_deterministic(small_report):
+    a = small_report
     b = run_all(SMALL)
     assert [(e.id, e.status, e.detail) for e in a.entries] == [
         (e.id, e.status, e.detail) for e in b.entries
     ]
 
 
-def test_report_serialization():
-    report = run_all(SMALL)
+def test_report_serialization(small_report):
+    report = small_report
     table = report.to_table()
     assert f"{len(report.entries)} claims, 0 failed" in table
     doc = json.loads(report.to_json())
