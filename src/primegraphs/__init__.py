@@ -41,7 +41,6 @@ from .prime_graph import (
     PrimeGraph,
     graph_from_degrees,
     graph_of,
-    palfy_bound,
     product_graph,
     structural_graph,
 )

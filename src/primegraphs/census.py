@@ -9,9 +9,12 @@ The canonical form is the lexicographically smallest adjacency encoding
 over all vertex orderings, where vertex i contributes an i-bit chunk giving
 its adjacency to vertices 0..i-1 (earliest placed in the highest bit).  It
 is found by a breadth-first search over partial orderings that keeps, level
-by level, exactly the prefixes achieving the smallest chunk so far; twin
-vertices and prefixes with identical continuations are collapsed to keep
-the frontier small.
+by level, exactly the prefixes achieving the smallest chunk so far.  A
+prefix is held as plain integers: the mask of unplaced vertices and, per
+placed vertex, its adjacency row restricted to that mask.  One narrowing
+pass over those rows yields a prefix's smallest chunk and the vertices that
+reach it; twin vertices and prefixes with equal masks and rows (hence
+identical continuations) are collapsed to keep the frontier small.
 
 The census of k-regular graphs generates labeled graphs row by row and
 prunes interchangeable vertices: when row v is filled, candidates u > v
@@ -52,11 +55,20 @@ def _check_rows(n: int, rows: Rows) -> None:
         raise ValueError(f"graphs above {MAX_VERTICES} vertices are not supported")
     if len(rows) != n:
         raise ValueError("row count does not match vertex count")
+    union = 0
+    for row in rows:
+        union |= row
+    if union >> n:
+        raise ValueError("adjacency rows must be in range")
     for v, row in enumerate(rows):
-        if row >> n or row >> v & 1:
-            raise ValueError("adjacency rows must be loop-free and in range")
-        for w in range(n):
-            if (row >> w & 1) != (rows[w] >> v & 1):
+        bit = 1 << v
+        if row & bit:
+            raise ValueError("adjacency rows must be loop-free")
+        # Every neighbour w of v must list v; over all v that is symmetry.
+        while row:
+            low = row & -row
+            row ^= low
+            if not rows[low.bit_length() - 1] & bit:
                 raise ValueError("adjacency must be symmetric")
 
 
@@ -83,47 +95,58 @@ class GraphClass:
 
 
 def _canonical_chunks(n: int, rows: Rows) -> tuple[int, ...]:
-    # Frontier entries are dicts mapping each unplaced vertex to its chunk
-    # (adjacency bits toward the placed prefix).  The placed order itself is
-    # not needed: the chunk sequence determines the canonical matrix.
-    def twin_reps(chunks: dict[int, int], wanted: int) -> list[int]:
-        # Among candidates whose chunk equals `wanted`, keep one vertex per
-        # twin class (identical adjacency to the other unplaced vertices,
-        # ignoring the pair itself).
-        unplaced = 0
-        for u in chunks:
-            unplaced |= 1 << u
-        reps = []
-        seen: set[tuple[int, int]] = set()
-        for u in sorted(chunks):
-            if chunks[u] != wanted:
-                continue
-            closed = (rows[u] | 1 << u) & unplaced
-            open_ = rows[u] & unplaced
-            if (0, closed) in seen or (1, open_) in seen:
-                continue
-            seen.add((0, closed))
-            seen.add((1, open_))
-            reps.append(u)
-        return reps
-
-    frontier: list[dict[int, int]] = []
-    for v in twin_reps({u: 0 for u in range(n)}, 0):
-        frontier.append({u: rows[u] >> v & 1 for u in range(n) if u != v})
+    # A frontier entry is (unplaced, slices): the mask of unplaced vertices
+    # and, for each placed vertex in placement order, its adjacency row
+    # restricted to the unplaced ones.  Bit j of slice i is bit i (from the
+    # top) of vertex j's chunk, so equal keys mean equal chunk maps and such
+    # prefixes merge.  The placed order itself is not needed: the chunk
+    # sequence determines the canonical matrix.
+    frontier: set[tuple[int, tuple[int, ...]]] = {((1 << n) - 1, ())}
     chunks_out: list[int] = []
-    for _level in range(1, n):
-        best = min(min(entry.values()) for entry in frontier)
-        chunks_out.append(best)
-        nxt: dict[tuple[tuple[int, int], ...], dict[int, int]] = {}
-        for entry in frontier:
-            for v in twin_reps(entry, best):
-                ext = {
-                    u: c << 1 | (rows[u] >> v & 1)
-                    for u, c in entry.items()
-                    if u != v
-                }
-                nxt[tuple(sorted(ext.items()))] = ext
-        frontier = list(nxt.values())
+    for level in range(n):
+        # An entry's smallest chunk, and the mask of vertices that reach it,
+        # come from one narrowing pass: at each slice keep the candidates
+        # not adjacent to that placed vertex, if any.
+        best = -1
+        reached: list[tuple[int, tuple[int, ...], int]] = []
+        for unplaced, slices in frontier:
+            cand = unplaced
+            chunk = 0
+            for s in slices:
+                nonadj = cand & ~s
+                if nonadj:
+                    cand = nonadj
+                    chunk <<= 1
+                else:
+                    chunk = chunk << 1 | 1
+            if chunk == best:
+                reached.append((unplaced, slices, cand))
+            elif chunk < best or best < 0:
+                best = chunk
+                reached = [(unplaced, slices, cand)]
+        if level:
+            chunks_out.append(best)
+        if level == n - 1:
+            break
+        nxt: set[tuple[int, tuple[int, ...]]] = set()
+        for unplaced, slices, cand in reached:
+            # Among the candidates keep one vertex per twin class (identical
+            # adjacency to the other unplaced vertices, ignoring the pair
+            # itself), the lowest-indexed first.
+            closed_seen: set[int] = set()
+            open_seen: set[int] = set()
+            while cand:
+                low = cand & -cand
+                cand ^= low
+                open_ = rows[low.bit_length() - 1] & unplaced
+                closed = open_ | low
+                if closed in closed_seen or open_ in open_seen:
+                    continue
+                closed_seen.add(closed)
+                open_seen.add(open_)
+                rest = unplaced ^ low
+                nxt.add((rest, (*[s & rest for s in slices], open_ & rest)))
+        frontier = nxt
     return tuple(chunks_out)
 
 

@@ -353,25 +353,46 @@ def classify_four_prime_psl2(spec: GroupSpec) -> FourPrimeCase:
 # ---------------------------------------------------------------------------
 # Sweep helpers.
 
+# Integers sieved at a time by prime_powers; one window covers every sweep
+# up to this bound.
+_SIEVE_WINDOW = 1 << 18
+
+
 def prime_powers(lo: int, hi: int) -> Iterator[int]:
     """Prime powers in [lo, hi], ascending.
 
-    One sieve, no factoring: the primes up to hi are sieved into a
-    bytearray of hi + 1 bytes, then each prime's higher powers are marked
-    in it.
+    A segmented sieve, no factoring: the primes up to isqrt(hi) are sieved
+    once, then [lo, hi] is sieved in windows of at most _SIEVE_WINDOW
+    integers, and the higher powers of those primes that fall in a window
+    are marked back in.  Memory grows with isqrt(hi), not with hi.
     """
-    if hi < 2:
+    lo = max(lo, 2)
+    if hi < lo:
         return
-    flags = prime_flags(hi)
-    # The primes are listed before marking, which sets flags of composites.
-    for p in [p for p in range(2, math.isqrt(hi) + 1) if flags[p]]:
+    base = [p for p, f in enumerate(prime_flags(math.isqrt(hi))) if f]
+    powers = []
+    for p in base:
         power = p * p
         while power <= hi:
-            flags[power] = 1
+            if power >= lo:
+                powers.append(power)
             power *= p
-    for n in range(max(lo, 2), hi + 1):
-        if flags[n]:
-            yield n
+    powers.sort(reverse=True)
+    for start in range(lo, hi + 1, _SIEVE_WINDOW):
+        size = min(_SIEVE_WINDOW, hi + 1 - start)
+        end = start + size
+        flags = bytearray([1]) * size
+        for p in base:
+            if p * p >= end:
+                break
+            first = max(p * p, -(-start // p) * p) - start
+            flags[first::p] = bytes(len(range(first, size, p)))
+        while powers and powers[-1] < end:
+            flags[powers.pop() - start] = 1
+        pos = flags.find(1)
+        while pos >= 0:
+            yield start + pos
+            pos = flags.find(1, pos + 1)
 
 
 def suzuki_parameters(hi: int) -> Iterator[int]:

@@ -118,26 +118,6 @@ class PrimeGraph:
     def is_clique_free(self, k: int) -> bool:
         return not self.contains_clique(k)
 
-    def diameter_per_component(self) -> dict[tuple[int, ...], int]:
-        """BFS eccentricities, keyed by the component's sorted vertex tuple."""
-        out: dict[tuple[int, ...], int] = {}
-        for comp in self.connected_components():
-            diam = 0
-            for src in comp:
-                dist = {src: 0}
-                frontier = [src]
-                while frontier:
-                    nxt = []
-                    for v in frontier:
-                        for w in self.neighbors(v):
-                            if w not in dist:
-                                dist[w] = dist[v] + 1
-                                nxt.append(w)
-                    frontier = nxt
-                diam = max(diam, max(dist.values()))
-            out[tuple(comp)] = diam
-        return out
-
     def palfy_condition(self) -> bool:
         """Every three vertices span at least one edge (complement is
         triangle-free)."""
@@ -166,14 +146,6 @@ class PrimeGraph:
         lines = [f"{p}" for p in self.vertices if self.degree(p) == 0]
         lines += [f"{p} {q}" for p, q in self.edges]
         return "\n".join(lines) + "\n" if lines else "\n"
-
-
-def palfy_bound(n1: int, n2: int) -> bool:
-    """Feasibility of a two-component split with part sizes n1, n2: the
-    larger part must have at least 2**min - 1 vertices."""
-    if n1 < 1 or n2 < 1:
-        raise ValueError("part sizes must be positive")
-    return max(n1, n2) >= 2 ** min(n1, n2) - 1
 
 
 def graph_from_degrees(cd: DegreeSet) -> PrimeGraph:

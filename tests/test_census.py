@@ -1,10 +1,13 @@
+import hashlib
 import random
+from itertools import permutations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from primegraphs.census import (
+    MAX_VERTICES,
     GraphClass,
     _labeled_regular,
     canonicalize,
@@ -63,7 +66,7 @@ def test_canonicalize_rejects_bad_input():
     with pytest.raises(ValueError):
         canonicalize(11, (0,) * 11)
     with pytest.raises(ValueError):
-        canonicalize(2, (1, 0))  # asymmetric
+        canonicalize(2, (1, 0))  # a loop at vertex 0
 
 
 @given(
@@ -84,6 +87,91 @@ def test_canonical_relabel_property(case):
     n, edges, perm = case
     rows = rows_from_edges(n, edges)
     assert canonicalize(n, relabel(n, rows, perm)) == canonicalize(n, rows)
+
+
+@pytest.mark.parametrize(
+    "n, rows, reason",
+    [
+        (MAX_VERTICES + 1, (0,) * (MAX_VERTICES + 1), "not supported"),
+        (3, (0, 0), "row count"),
+        (3, (0, 0, 0, 0), "row count"),
+        (2, (0b100, 0), "in range"),
+        (2, (-1, 0), "in range"),
+        (1, (1,), "loop-free"),
+        (3, (0b010, 0b101, 0b110), "loop-free"),
+        (3, (0b010, 0, 0), "symmetric"),
+        (4, (0b1000, 0b0100, 0b0010, 0), "symmetric"),
+    ],
+)
+def test_canonicalize_rejects_each_bad_input_kind(n, rows, reason):
+    with pytest.raises(ValueError, match=reason):
+        canonicalize(n, rows)
+
+
+def adjacency_code(n, rows, order):
+    """The adjacency code of rows read in the given vertex order, straight
+    from the definition: position j contributes its adjacency to positions
+    0..j-1, position 0 in the highest bit."""
+    return tuple(
+        sum((rows[order[j]] >> order[i] & 1) << (j - 1 - i) for i in range(j))
+        for j in range(1, n)
+    )
+
+
+def assert_canonical_is_brute_force_minimum(n, rows):
+    # The canonical rows, read in their own order, must give the minimum
+    # code over all n! orders.  A code fixes the whole ordered adjacency
+    # matrix, so this also shows that the canonical rows are rows relabeled.
+    brute = min(adjacency_code(n, rows, order) for order in permutations(range(n)))
+    g = canonicalize(n, rows)
+    assert adjacency_code(n, g.rows, range(n)) == brute, (n, rows)
+
+
+def test_canonical_matches_brute_force_on_every_small_graph():
+    for n in range(1, 6):
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        for mask in range(1 << len(pairs)):
+            edges = [e for b, e in enumerate(pairs) if mask >> b & 1]
+            assert_canonical_is_brute_force_minimum(n, rows_from_edges(n, edges))
+
+
+@given(
+    st.integers(min_value=1, max_value=6).flatmap(
+        lambda n: st.tuples(
+            st.just(n),
+            st.sets(
+                st.tuples(
+                    st.integers(0, n - 1), st.integers(0, n - 1)
+                ).filter(lambda e: e[0] < e[1])
+            ),
+        )
+    )
+)
+@settings(max_examples=200, deadline=None)
+def test_canonical_matches_brute_force(case):
+    n, edges = case
+    assert_canonical_is_brute_force_minimum(n, rows_from_edges(n, edges))
+
+
+# sha256 over the canonical rows of every enumerate_regular(n, k) class with
+# n <= 9 and of every catalog graph, recorded with the earlier dict-frontier
+# canonical form.  Catalog lookups and claim equalities compare GraphClass
+# values, so a change of canonical form must update this on purpose.
+PINNED_CANONICAL_SHA256 = (
+    "f5b6fe028837b0443a826fed2b3fa3310661a0320fd3c2bcd235e51598361c19"
+)
+
+
+def test_canonical_forms_are_pinned():
+    h = hashlib.sha256()
+    for n in range(1, 10):
+        for k in range(n):
+            for g in enumerate_regular(n, k):
+                h.update(f"{n} {k} {g.rows}\n".encode())
+    for name in sorted(catalog()):
+        g = catalog()[name].graph
+        h.update(f"{name} {g.n} {g.rows}\n".encode())
+    assert h.hexdigest() == PINNED_CANONICAL_SHA256
 
 
 def test_census_counts():

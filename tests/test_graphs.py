@@ -13,7 +13,6 @@ from primegraphs.prime_graph import (
     PrimeGraph,
     graph_from_degrees,
     graph_of,
-    palfy_bound,
     product_graph,
     structural_graph,
 )
@@ -174,26 +173,6 @@ def test_palfy_condition_small():
     assert not empty3.palfy_condition()
     path = PrimeGraph([2, 3, 5], [(2, 3), (3, 5)])
     assert path.palfy_condition()
-
-
-def test_palfy_bound():
-    assert palfy_bound(1, 1)
-    assert palfy_bound(2, 3)
-    assert not palfy_bound(3, 3)
-    assert palfy_bound(3, 7)
-    with pytest.raises(ValueError):
-        palfy_bound(0, 2)
-
-
-def test_diameter_per_component():
-    g = graph_from_degrees(character_degrees(GroupSpec.psl2(125)))
-    diam = g.diameter_per_component()
-    assert diam[(5,)] == 0
-    assert diam[(2, 3, 7, 31)] == 2
-    # the stated general bound: diameter at most 3 everywhere we can reach
-    for q in prime_powers(4, 500):
-        for d in graph_of(GroupSpec.psl2(q)).diameter_per_component().values():
-            assert d <= 3
 
 
 def test_serialization_stable():

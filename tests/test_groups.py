@@ -1,6 +1,10 @@
 import math
+import tracemalloc
+from itertools import islice
 
 import pytest
+
+from primegraphs import groups
 
 from primegraphs.arithmetic import as_prime_power, prime_set
 from primegraphs.groups import (
@@ -156,7 +160,7 @@ def test_three_prime_sweep():
             assert 2 in pi and 3 in pi
 
 
-def test_prime_powers_matches_factoring():
+def test_prime_powers_matches_factoring(monkeypatch):
     # the sieve against the definition, one as_prime_power call per integer
     hi_max = 3 * 10**4
     reference = [n for n in range(2, hi_max + 1) if as_prime_power(n)]
@@ -169,6 +173,35 @@ def test_prime_powers_matches_factoring():
         assert list(prime_powers(q, q)) == [q]
     assert list(prime_powers(30, 30)) == []
     assert list(prime_powers(10, 5)) == []
+    # one window covers the sweeps, whose bounds stay below 3 * 10**4
+    assert groups._SIEVE_WINDOW > hi_max
+    # the real window's edges: windows start at lo, lo + W, lo + 2W, ...
+    window = groups._SIEVE_WINDOW
+    got = list(prime_powers(2, 3 * window + 1000))
+    for edge in (2 + window, 2 + 2 * window, 2 + 3 * window):
+        near = range(edge - 500, edge + 500)
+        want = [n for n in near if as_prime_power(n)]
+        assert [n for n in got if edge - 500 <= n < edge + 500] == want, edge
+    # small windows put many edges inside the reference range
+    for window in (1, 2, 3, 7, 64, 1000):
+        monkeypatch.setattr(groups, "_SIEVE_WINDOW", window)
+        for lo, hi in [(-5, 3000), (2, 2), (3, 1000), (49, 50), (1000, 1024),
+                       (1023, 2187), (2187, 2187), (2900, 3000)]:
+            want = [n for n in reference if lo <= n <= hi]
+            assert list(prime_powers(lo, hi)) == want, (window, lo, hi)
+
+
+def test_prime_powers_memory_does_not_grow_with_hi():
+    # A sieve over all of [2, hi] would hold hi bytes (about 19 MiB here)
+    # before the first item; the windowed sieve holds one window.
+    tracemalloc.start()
+    try:
+        first = list(islice(prime_powers(2, 2 * 10**7), 5))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert first == [2, 3, 4, 5, 7]
+    assert peak < 2 * 2**20
 
 
 def test_all_specs_deduplicates():
