@@ -1,9 +1,9 @@
 """Unlabeled small graphs: canonical forms, isomorphism, and the census of
 k-regular graphs on up to ten vertices.
 
-Graphs here are anonymous shapes, unlike the prime-labeled graphs of the
-prime_graph module.  A labeled graph is a tuple of adjacency-row bitmasks;
-a GraphClass is the canonical representative of its isomorphism class.
+A graph is a tuple of adjacency-row bitmasks, held canonically by a
+GraphClass or under prime labels by a prime_graph.PrimeGraph; the
+predicates here read only a graph's `n` and `rows`, so they take either.
 
 The canonical form is the lexicographically smallest adjacency encoding
 over all vertex orderings, where vertex i contributes an i-bit chunk giving
@@ -50,6 +50,19 @@ def rows_from_edges(n: int, edges) -> Rows:
     return tuple(rows)
 
 
+def edges_from_rows(rows: Rows) -> tuple[tuple[int, int], ...]:
+    """The edges (i, j), i < j, in lexicographic order."""
+    n = len(rows)
+    return tuple(
+        (i, j) for i, row in enumerate(rows) for j in range(i + 1, n) if row >> j & 1
+    )
+
+
+def sorted_degrees(rows: Rows) -> tuple[int, ...]:
+    """The degree sequence, largest first."""
+    return tuple(sorted((row.bit_count() for row in rows), reverse=True))
+
+
 def _check_rows(n: int, rows: Rows) -> None:
     if n > MAX_VERTICES:
         raise ValueError(f"graphs above {MAX_VERTICES} vertices are not supported")
@@ -80,15 +93,10 @@ class GraphClass:
     rows: Rows
 
     def edges(self) -> tuple[tuple[int, int], ...]:
-        return tuple(
-            (i, j)
-            for i in range(self.n)
-            for j in range(i + 1, self.n)
-            if self.rows[i] >> j & 1
-        )
+        return edges_from_rows(self.rows)
 
     def degree_sequence(self) -> tuple[int, ...]:
-        return tuple(sorted((row.bit_count() for row in self.rows), reverse=True))
+        return sorted_degrees(self.rows)
 
     def is_k_regular(self, k: int) -> bool:
         return all(row.bit_count() == k for row in self.rows)
@@ -171,7 +179,8 @@ def class_from_edges(n: int, edges) -> GraphClass:
 
 
 # ---------------------------------------------------------------------------
-# Isomorphism and embedding tests on labeled graphs.
+# Isomorphism and embedding tests on labeled graphs, each taking a GraphClass
+# or a PrimeGraph (anything with `n` and `rows`).
 
 def _vertex_triangles(n: int, rows: Rows) -> tuple[int, ...]:
     return tuple(
@@ -222,7 +231,7 @@ def _find_isomorphism(
     return place(0)
 
 
-def _embeds(small: GraphClass, big: GraphClass, induced: bool) -> bool:
+def _embeds(small, big, induced: bool) -> bool:
     a, b = small.rows, big.rows
     image = [-1] * small.n
     used = [False] * big.n
@@ -251,17 +260,17 @@ def _embeds(small: GraphClass, big: GraphClass, induced: bool) -> bool:
     return small.n <= big.n and place(0)
 
 
-def contains_subgraph(g: GraphClass, h: GraphClass) -> bool:
+def contains_subgraph(g, h) -> bool:
     """h embeds into g preserving edges (non-edges of h unconstrained)."""
     return _embeds(h, g, induced=False)
 
 
-def contains_induced(g: GraphClass, h: GraphClass) -> bool:
+def contains_induced(g, h) -> bool:
     """h embeds into g preserving both edges and non-edges."""
     return _embeds(h, g, induced=True)
 
 
-def contains_clique(g: GraphClass, k: int) -> bool:
+def contains_clique(g, k: int) -> bool:
     if k <= 1:
         return k <= 0 or g.n >= 1
     return contains_subgraph(g, complete_class(k))
@@ -272,7 +281,7 @@ def complete_class(k: int) -> GraphClass:
     return GraphClass(k, tuple(full ^ (1 << v) for v in range(k)))
 
 
-def triangle_count(g: GraphClass) -> int:
+def triangle_count(g) -> int:
     return sum(_vertex_triangles(g.n, g.rows)) // 3
 
 

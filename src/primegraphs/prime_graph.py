@@ -2,7 +2,9 @@
 
 A PrimeGraph is the graph whose vertices are the primes dividing some
 character degree of a group, with p adjacent to q exactly when pq divides
-some degree.  Graphs can be built from a degree set, or directly from the
+some degree.  It holds prime labels over the census graph core, bitmask
+rows, so its queries are bit operations and the census predicates take it
+as it is.  Graphs can be built from a degree set, or directly from the
 known structure of each simple-group family; the two constructions are
 cross-checked in the tests.
 """
@@ -14,6 +16,14 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .arithmetic import PrimeSet, prime_set
+from .census import (
+    GraphClass,
+    Rows,
+    canonicalize,
+    edges_from_rows,
+    rows_from_edges,
+    sorted_degrees,
+)
 from .groups import (
     DegreeSet,
     Family,
@@ -26,52 +36,69 @@ from .groups import (
 )
 
 
-def _normalize_edge(p: int, q: int) -> tuple[int, int]:
-    if p == q:
-        raise ValueError("loops are not allowed")
-    return (p, q) if p < q else (q, p)
-
-
 @dataclass(frozen=True)
 class PrimeGraph:
-    """Immutable simple graph on a sorted set of primes."""
+    """Immutable simple graph on a sorted set of primes; bit j of rows[i]
+    is set iff the i-th and j-th smallest primes are adjacent."""
 
     vertices: PrimeSet
-    edges: tuple[tuple[int, int], ...]
+    rows: Rows
 
     def __init__(self, vertices, edges=()) -> None:
         vs = vertices if isinstance(vertices, PrimeSet) else PrimeSet(vertices)
-        es = sorted({_normalize_edge(p, q) for p, q in edges})
-        for p, q in es:
-            if p not in vs or q not in vs:
-                raise ValueError(f"edge {p}-{q} uses a vertex outside the graph")
+        index = {p: i for i, p in enumerate(vs)}
+        try:
+            pairs = [(index[p], index[q]) for p, q in edges]
+        except KeyError as exc:
+            raise ValueError(f"{exc.args[0]} is not a vertex") from None
         object.__setattr__(self, "vertices", vs)
-        object.__setattr__(self, "edges", tuple(es))
+        object.__setattr__(self, "rows", rows_from_edges(len(vs), pairs))
 
     # -- basic queries ----------------------------------------------------
 
-    def has_edge(self, p: int, q: int) -> bool:
-        return _normalize_edge(p, q) in self.edges
+    @property
+    def n(self) -> int:
+        return len(self.rows)
 
-    def neighbors(self, p: int) -> PrimeSet:
-        return PrimeSet._known(
-            (b if a == p else a) for a, b in self.edges if p in (a, b)
-        )
+    @property
+    def edges(self) -> tuple[tuple[int, int], ...]:
+        ps = self.vertices.primes
+        return tuple((ps[i], ps[j]) for i, j in edges_from_rows(self.rows))
+
+    def has_edge(self, p: int, q: int) -> bool:
+        ps = self.vertices.primes
+        return p in ps and q in ps and bool(self.rows[ps.index(p)] >> ps.index(q) & 1)
 
     def degree(self, p: int) -> int:
         if p not in self.vertices:
             raise ValueError(f"{p} is not a vertex")
-        return sum(1 for e in self.edges if p in e)
+        return self.rows[self.vertices.primes.index(p)].bit_count()
 
     def degree_sequence(self) -> tuple[int, ...]:
-        return tuple(sorted((self.degree(p) for p in self.vertices), reverse=True))
-
-    def is_k_regular(self, k: int) -> bool:
-        return all(self.degree(p) == k for p in self.vertices)
+        return sorted_degrees(self.rows)
 
     def is_complete(self) -> bool:
-        n = len(self.vertices)
-        return len(self.edges) == n * (n - 1) // 2
+        return all(row.bit_count() == self.n - 1 for row in self.rows)
+
+    def _primes_of(self, mask: int) -> PrimeSet:
+        return PrimeSet._known(p for i, p in enumerate(self.vertices) if mask >> i & 1)
+
+    def _component_masks(self) -> list[int]:
+        # Grown from the lowest remaining vertex, so ordered by smallest prime.
+        masks, remaining = [], (1 << self.n) - 1
+        while remaining:
+            comp, prev = remaining & -remaining, 0
+            while comp != prev:
+                prev = comp
+                for i, row in enumerate(self.rows):
+                    if prev >> i & 1:
+                        comp |= row
+            remaining ^= comp
+            masks.append(comp)
+        return masks
+
+    def connected_components(self) -> tuple[PrimeSet, ...]:
+        return tuple(self._primes_of(comp) for comp in self._component_masks())
 
     def complete_vertices(self) -> PrimeSet:
         """Vertices adjacent to everything else in their component.
@@ -80,51 +107,27 @@ class PrimeGraph:
         is complete): a complete vertex is one dominating a nontrivial part
         of the graph.
         """
-        if len(self.vertices) == 1:
+        if self.n == 1:
             return self.vertices
-        out = []
-        for comp in self.connected_components():
-            if len(comp) < 2:
-                continue
-            out += [p for p in comp if self.degree(p) == len(comp) - 1]
-        return PrimeSet._known(out)
-
-    def connected_components(self) -> tuple[PrimeSet, ...]:
-        remaining = set(self.vertices)
-        components = []
-        while remaining:
-            seed = min(remaining)
-            seen = {seed}
-            frontier = [seed]
-            while frontier:
-                v = frontier.pop()
-                for w in self.neighbors(v):
-                    if w not in seen:
-                        seen.add(w)
-                        frontier.append(w)
-            remaining -= seen
-            components.append(PrimeSet._known(seen))
-        return tuple(sorted(components, key=lambda c: min(c)))
-
-    def contains_clique(self, k: int) -> bool:
-        if k <= 1:
-            return k == 0 or len(self.vertices) >= 1
-        candidates = [p for p in self.vertices if self.degree(p) >= k - 1]
-        for combo in combinations(candidates, k):
-            if all(self.has_edge(p, q) for p, q in combinations(combo, 2)):
-                return True
-        return False
-
-    def is_clique_free(self, k: int) -> bool:
-        return not self.contains_clique(k)
+        comps = set(self._component_masks())
+        return self._primes_of(sum(
+            1 << i for i, row in enumerate(self.rows) if row and (row | 1 << i) in comps
+        ))
 
     def palfy_condition(self) -> bool:
         """Every three vertices span at least one edge (complement is
-        triangle-free)."""
+        triangle-free).  A plain scan over vertex triples, kept apart from
+        the census clique search that the palfy-oracle claim compares it
+        with."""
+        r = self.rows
         return all(
-            any(self.has_edge(p, q) for p, q in combinations(triple, 2))
-            for triple in combinations(tuple(self.vertices), 3)
+            r[a] >> b & 1 or r[a] >> c & 1 or r[b] >> c & 1
+            for a, b, c in combinations(range(self.n), 3)
         )
+
+    def shape(self) -> GraphClass:
+        """The isomorphism class of the graph, prime labels dropped."""
+        return canonicalize(self.n, self.rows)
 
     # -- serialization ----------------------------------------------------
 
@@ -143,7 +146,7 @@ class PrimeGraph:
         return json.dumps(obj, separators=(", ", ": ")) + "\n"
 
     def to_edgelist(self) -> str:
-        lines = [f"{p}" for p in self.vertices if self.degree(p) == 0]
+        lines = [f"{p}" for p, row in zip(self.vertices, self.rows) if not row]
         lines += [f"{p} {q}" for p, q in self.edges]
         return "\n".join(lines) + "\n" if lines else "\n"
 
@@ -157,10 +160,6 @@ def graph_from_degrees(cd: DegreeSet) -> PrimeGraph:
         vertices |= ps
         edges.update(combinations(tuple(ps), 2))
     return PrimeGraph(vertices, edges)
-
-
-def _complete(vertices: PrimeSet) -> PrimeGraph:
-    return PrimeGraph(vertices, combinations(tuple(vertices), 2))
 
 
 def _is_2a3b(n: int, require_even: bool) -> bool:
@@ -216,7 +215,7 @@ def structural_graph(spec: GroupSpec) -> PrimeGraph:
             cyclotomic = _is_2a3b(q + 1, require_even=False)
             torus = (q - 1) * (q * q - q + 1)
         if cyclotomic:
-            return _complete(pi)
+            return PrimeGraph(pi, combinations(tuple(pi), 2))
         defining = prime_set(q)
         edges = set(combinations(tuple(pi - defining), 2))
         edges.update((p, r) for p in defining for r in prime_set(torus))
@@ -245,9 +244,5 @@ def graph_of(spec: GroupSpec) -> PrimeGraph:
 def product_graph(a: PrimeGraph, b: PrimeGraph) -> PrimeGraph:
     """Degree graph of a direct product: degrees multiply, so both edge
     sets survive and every cross pair becomes an edge."""
-    vertices = a.vertices | b.vertices
-    edges = set(a.edges) | set(b.edges)
-    edges.update(
-        _normalize_edge(p, q) for p in a.vertices for q in b.vertices if p != q
-    )
-    return PrimeGraph(vertices, edges)
+    cross = [(p, q) for p in a.vertices for q in b.vertices if p != q]
+    return PrimeGraph(a.vertices | b.vertices, [*a.edges, *b.edges, *cross])

@@ -118,6 +118,9 @@ def test_verify_rejects_bad_bounds(capsys):
         ("--psl3-max", "-1"),
         ("--psu3-max", "0"),
         ("--product-trials", "-1"),
+        ("--psl2-max", str(10**12 + 1)),
+        ("--psl3-max", str(10**12 + 1)),
+        ("--psu3-max", str(10**18)),
     ):
         code, out, err = run(capsys, "verify", "--only", "order6-census", *argv)
         assert code == 2 and out == "", argv

@@ -1,7 +1,11 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from primegraphs.arithmetic import PrimeSet
+from primegraphs.census import contains_clique
 from primegraphs.groups import (
+    DegreeSet,
     GroupSpec,
     UnsupportedFamilyError,
     character_degrees,
@@ -54,8 +58,6 @@ def test_graph_from_degrees_psl2_256():
 
 
 def test_graph_from_trivial_degrees():
-    from primegraphs.groups import DegreeSet
-
     g = graph_from_degrees(DegreeSet([1]))
     assert len(g.vertices) == 0 and g.edges == ()
 
@@ -159,11 +161,24 @@ def test_product_commutative_associative():
     )
 
 
+degree_sets = st.sets(st.integers(2, 2000), max_size=4).map(lambda s: s | {1})
+
+
+@given(degree_sets, degree_sets)
+@settings(max_examples=200, deadline=None)
+def test_product_graph_is_graph_of_degree_products(a, b):
+    # Degrees of a direct product are the products of the factors' degrees.
+    product = product_graph(
+        graph_from_degrees(DegreeSet(a)), graph_from_degrees(DegreeSet(b))
+    )
+    assert product == graph_from_degrees(DegreeSet(x * y for x in a for y in b))
+
+
 def test_predicates_on_k5():
     k5 = complete_on([2, 3, 5, 7, 11])
     assert k5.is_complete()
-    assert k5.is_k_regular(4)
-    assert k5.contains_clique(5) and k5.is_clique_free(6)
+    assert k5.degree_sequence() == (4,) * 5
+    assert contains_clique(k5, 5) and not contains_clique(k5, 6)
     assert len(k5.complete_vertices()) == 5
     assert k5.palfy_condition()
 

@@ -1,0 +1,127 @@
+"""Property tests for the bitmask-row graph core shared by GraphClass and
+PrimeGraph, each against a brute force over plain edge lists or vertex maps
+that shares no code with the rows."""
+
+from itertools import combinations, permutations
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from primegraphs.census import (
+    class_from_edges,
+    contains_induced,
+    contains_subgraph,
+)
+from primegraphs.prime_graph import PrimeGraph
+
+PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
+@st.composite
+def prime_graphs(draw, max_vertices=12):
+    """(vertices, edges): a random vertex set drawn from PRIMES and a random
+    edge list over it, each edge in a random orientation, some repeated."""
+    vs = draw(st.lists(st.sampled_from(PRIMES), unique=True, max_size=max_vertices))
+    pairs = list(combinations(vs, 2))
+    edges = []
+    for p, q in pairs:
+        copies = draw(st.sampled_from((0, 0, 1, 1, 2)))
+        edges += [(q, p) if draw(st.booleans()) else (p, q) for _ in range(copies)]
+    return vs, edges
+
+
+def index_graphs(max_n):
+    """(n, edges) with vertices 0..n-1."""
+    return st.integers(0, max_n).flatmap(
+        lambda n: st.tuples(
+            st.just(n),
+            st.lists(st.sampled_from(list(combinations(range(n), 2))), unique=True)
+            if n >= 2
+            else st.just([]),
+        )
+    )
+
+
+def brute_embeds(n, g_edges, m, h_edges, induced):
+    g = {frozenset(e) for e in g_edges}
+    h = {frozenset(e) for e in h_edges}
+    for image in permutations(range(n), m):
+        ok = True
+        for u, v in combinations(range(m), 2):
+            in_h = frozenset((u, v)) in h
+            in_g = frozenset((image[u], image[v])) in g
+            if in_h and not in_g or induced and in_g and not in_h:
+                ok = False
+                break
+        if ok:
+            return True
+    return False
+
+
+@given(index_graphs(6), index_graphs(6))
+@settings(max_examples=300, deadline=None)
+def test_embedding_matches_brute_force_over_injections(big, small):
+    (n, g_edges), (m, h_edges) = big, small
+    # The host as a prime-labelled graph, the pattern as a class: the
+    # embedding tests read only n and rows, so either type works.
+    g = PrimeGraph(PRIMES[:n], [(PRIMES[i], PRIMES[j]) for i, j in g_edges])
+    h = class_from_edges(m, h_edges)
+    assert contains_subgraph(g, h) == brute_embeds(n, g_edges, m, h_edges, False)
+    assert contains_induced(g, h) == brute_embeds(n, g_edges, m, h_edges, True)
+
+
+def brute_components(vs, edges):
+    def reach(p):
+        seen = {p}
+        changed = True
+        while changed:
+            changed = False
+            for a, b in edges:
+                if (a in seen) != (b in seen):
+                    seen |= {a, b}
+                    changed = True
+        return frozenset(seen)
+
+    return sorted({reach(p) for p in vs}, key=min)
+
+
+@given(prime_graphs())
+@settings(max_examples=300, deadline=None)
+def test_prime_graph_queries_match_edge_list(graph):
+    vs, edges = graph
+    g = PrimeGraph(vs, edges)
+    plain = {(min(e), max(e)) for e in edges}
+
+    assert tuple(g.vertices) == tuple(sorted(vs))
+    assert g.edges == tuple(sorted(plain))
+    degree = {p: sum(p in e for e in plain) for p in vs}
+    assert {p: g.degree(p) for p in vs} == degree
+    assert g.degree_sequence() == tuple(sorted(degree.values(), reverse=True))
+    assert g.is_complete() == (len(plain) == len(vs) * (len(vs) - 1) // 2)
+    for p in PRIMES:
+        for q in PRIMES:
+            assert g.has_edge(p, q) == ((min(p, q), max(p, q)) in plain)
+
+    comps = brute_components(vs, plain)
+    assert [set(c) for c in g.connected_components()] == [set(c) for c in comps]
+    if len(vs) == 1:
+        complete = set(vs)
+    else:
+        complete = {
+            p for c in comps if len(c) > 1 for p in c if degree[p] == len(c) - 1
+        }
+    assert set(g.complete_vertices()) == complete
+
+    assert g.palfy_condition() == all(
+        any(e in plain for e in combinations(t, 2))
+        for t in combinations(sorted(vs), 3)
+    )
+
+
+@given(prime_graphs(max_vertices=10))
+@settings(max_examples=200, deadline=None)
+def test_shape_matches_own_relabelling(graph):
+    vs, edges = graph
+    index = {p: i for i, p in enumerate(sorted(vs))}
+    expected = class_from_edges(len(vs), [(index[p], index[q]) for p, q in edges])
+    assert PrimeGraph(vs, edges).shape() == expected

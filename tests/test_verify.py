@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from primegraphs.verify import Bounds, claim_ids, run_all, run_one
+from primegraphs.verify import MAX_SIEVED_BOUND, Bounds, claim_ids, run_all, run_one
 
 SMALL = Bounds(psl2_max=500, suzuki_max=2**9, psl3_max=50, psu3_max=50,
                product_trials=50)
@@ -57,11 +57,24 @@ def test_claim_ids_unique_and_stable():
     assert "product-join-bound" in ids
 
 
-@pytest.mark.parametrize("field", ["psl2_max", "suzuki_max", "psl3_max", "psu3_max"])
-@pytest.mark.parametrize("value", [0, -5])
-def test_bounds_reject_non_positive_maxima(field, value):
+@pytest.mark.parametrize(
+    "value, field",
+    [
+        (value, field)
+        for value in (0, -5)
+        for field in ("psl2_max", "suzuki_max", "psl3_max", "psu3_max")
+    ]
+    # The sieved sweeps are capped; the cap is checked before any sieve.
+    + [(MAX_SIEVED_BOUND + 1, field) for field in ("psl2_max", "psl3_max", "psu3_max")],
+)
+def test_bounds_reject_non_positive_maxima(value, field):
     with pytest.raises(ValueError, match=field):
         Bounds(**{field: value})
+
+
+def test_bounds_accept_the_cap():
+    assert Bounds(psl2_max=MAX_SIEVED_BOUND).psl2_max == MAX_SIEVED_BOUND
+    assert Bounds(suzuki_max=MAX_SIEVED_BOUND + 1).suzuki_max == MAX_SIEVED_BOUND + 1
 
 
 def test_bounds_product_trials():
