@@ -14,6 +14,8 @@ The public `PrimeSet(iterable)` constructor checks every element with
 `is_prime`.  The set algebra (`|`, `&`, `-`) and `Factorization.primes`
 build their results from elements that are already known prime, through
 the unchecked `PrimeSet._known`, and do not check them again.
+`Factorization.divide` derives the factorization of a quotient by
+lowering an exponent, without factoring again.
 """
 
 from __future__ import annotations
@@ -115,6 +117,17 @@ class Factorization:
 
     def primes(self) -> "PrimeSet":
         return PrimeSet._known(p for p, _ in self.factors)
+
+    def divide(self, p: int, e: int = 1) -> "Factorization":
+        """The factorization of value // p**e, by lowering p's exponent;
+        p**e must divide value."""
+        factors = []
+        for r, k in self.factors:
+            if r == p:
+                k -= e
+            if k:
+                factors.append((r, k))
+        return Factorization(self.value // p**e, tuple(factors))
 
 
 @dataclass(frozen=True)

@@ -5,20 +5,28 @@ alternating groups and a handful of sporadic groups, which together are all
 the simple groups whose degree graphs this project reasons about.  Sporadic
 and alternating data come from plain-text tables in the bundled data
 directory; everything else is computed from closed order formulas.
+
+Every order, degree and prime set of a Lie-type group is a product of a
+few cyclotomic factors: q, q - 1, q + 1, q^2 + q + 1, q^2 - q + 1, and for
+Suzuki Q + r + 1 and Q - r + 1.  A GroupSpec factors each of them once and
+carries the factorizations; prime sets, degree sets and the structural
+graphs read their primes from those, so no order is factored and the
+63-bit range of `factor` bounds each factor, not their product.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Iterator, Optional
 
 from .arithmetic import (
+    Factorization,
     PrimeSet,
-    as_prime_power,
-    is_mersenne_prime_exponent,
+    factor,
     is_prime,
     prime_flags,
     prime_set,
@@ -55,11 +63,19 @@ class GroupSpec:
     """A simple group: a family tag plus parameter, or a sporadic name.
 
     Suzuki convention: the parameter is q**2 = 2**(2m+1), m >= 1.
+
+    A Lie-type spec keeps `factorization`, the factorization of its
+    parameter made when the parameter is validated, and factors the rest of
+    its family's cyclotomic factors once, on first use
+    (`cyclotomic_factors`).  Neither takes part in equality.
     """
 
     family: Family
     parameter: Optional[int] = None
     name: Optional[str] = None
+    factorization: Optional[Factorization] = field(
+        default=None, init=False, compare=False, repr=False
+    )
 
     def __post_init__(self) -> None:
         fam, q = self.family, self.parameter
@@ -75,19 +91,42 @@ class GroupSpec:
             if q not in ALTERNATING_RANGE:
                 raise ValueError(f"alternating degree must be in {ALTERNATING_RANGE}")
             return
+        fq = factor(q) if q >= 2 else None
+        pf = fq.factors[0] if fq is not None and len(fq.factors) == 1 else None
         if fam is Family.SUZUKI:
-            pf = as_prime_power(q) if q >= 2 else None
             if pf is None or pf[0] != 2 or pf[1] < 3 or pf[1] % 2 == 0:
                 raise ValueError("Suzuki parameter must be 2**(2m+1) with m >= 1")
-            return
-        pf = as_prime_power(q) if q >= 2 else None
-        if pf is None:
+        elif pf is None:
             raise ValueError(f"{fam.value} parameter must be a prime power, got {q}")
         if fam is Family.PSL2 and q < 4:
             raise ValueError("PSL2 parameter must be >= 4 (smaller groups are solvable)")
         if fam is Family.PSU3 and q < 3:
             # q = 2 gives a solvable group of order 72, not a simple group.
             raise ValueError("PSU3 parameter must be >= 3")
+        object.__setattr__(self, "factorization", fq)
+
+    @cached_property
+    def cyclotomic_factors(self) -> tuple[Factorization, ...]:
+        """Factorizations of the family's cyclotomic factors, the parameter
+        first; the primes of the order are the primes of these.
+
+        PSL2: q, q-1, q+1.  PSL3: q, q-1, q+1, q^2+q+1.  PSU3: q, q-1, q+1,
+        q^2-q+1.  Suzuki (parameter Q = q^2, r = sqrt(2Q)): Q, Q-1, Q+r+1,
+        Q-r+1, where (Q+r+1)(Q-r+1) = Q^2+1.
+        """
+        fam, q = self.family, self.parameter
+        if fam is Family.PSL2:
+            rest = (q - 1, q + 1)
+        elif fam is Family.PSL3:
+            rest = (q - 1, q + 1, q * q + q + 1)
+        elif fam is Family.PSU3:
+            rest = (q - 1, q + 1, q * q - q + 1)
+        elif fam is Family.SUZUKI:
+            r = math.isqrt(2 * q)
+            rest = (q - 1, q + r + 1, q - r + 1)
+        else:
+            raise UnsupportedFamilyError(f"no family rule for {self}")
+        return (self.factorization, *map(factor, rest))
 
     def __str__(self) -> str:
         if self.family is Family.SPORADIC:
@@ -128,17 +167,34 @@ class GroupSpec:
 
 @dataclass(frozen=True)
 class DegreeSet:
-    """Sorted set of character degrees; always contains 1."""
+    """Sorted set of character degrees; always contains 1.
+
+    `factorizations` holds each degree's factorization, in the same order;
+    it does not take part in equality.  The constructor takes degrees as
+    integers, which it factors, or as their Factorizations, which it keeps:
+    `character_degrees` passes those for the Lie families, so only table
+    groups and hand-built sets are factored here.
+    """
 
     degrees: tuple[int, ...]
+    factorizations: tuple[Factorization, ...] = field(compare=False, repr=False)
 
     def __init__(self, degrees) -> None:
-        ds = sorted(set(degrees))
+        known: dict[int, Optional[Factorization]] = {}
+        for d in degrees:
+            if isinstance(d, Factorization):
+                known[d.value] = d
+            else:
+                known.setdefault(d, None)
+        ds = sorted(known)
         if not ds or ds[0] != 1 and 1 not in ds:
             raise ValueError("a degree set must contain 1")
         if ds[0] < 1:
             raise ValueError("degrees must be positive")
         object.__setattr__(self, "degrees", tuple(ds))
+        object.__setattr__(
+            self, "factorizations", tuple(known[d] or factor(d) for d in ds)
+        )
 
     def __iter__(self) -> Iterator[int]:
         return iter(self.degrees)
@@ -284,42 +340,39 @@ def character_degrees(spec: GroupSpec) -> DegreeSet:
         return table.degree_set()
     if fam is not Family.PSL2:
         raise UnsupportedFamilyError(f"no degree set for {spec}")
-    if q % 2 == 0:
-        return DegreeSet((1, q - 1, q, q + 1))
-    eps = (-1) ** ((q - 1) // 2)
-    return DegreeSet((1, q - 1, q, q + 1, (q + eps) // 2))
+    f_q, f_minus, f_plus = spec.cyclotomic_factors
+    degrees = [Factorization(1, ()), f_minus, f_q, f_plus]
+    if q % 2:
+        # (q + 1)/2 when q = 1 mod 4, (q - 1)/2 when q = 3 mod 4
+        degrees.append((f_plus if q % 4 == 1 else f_minus).divide(2))
+    return DegreeSet(degrees)
 
 
 # ---------------------------------------------------------------------------
 # Prime sets.
 
 def prime_set_of_group(spec: GroupSpec) -> PrimeSet:
-    # For the Lie families the factored form avoids factoring the full
-    # order, which can exceed the 63-bit range of `factor` for large Suzuki
-    # parameters even though every factor is small.
+    """The primes dividing the order.  A Lie-type group takes them from its
+    cyclotomic factors, so its order is never factored: the order leaves the
+    63-bit range of `factor` long before the factors do (Suzuki Q^2 + 1
+    past Q = 2^31, PSL3 and PSU3 past q of about 55 000).  Table groups
+    factor their order."""
     if spec.family in (Family.SPORADIC, Family.ALTERNATING):
         return prime_set(group_order(spec))
     return prime_set_by_family_rule(spec)
 
 
 def prime_set_by_family_rule(spec: GroupSpec) -> PrimeSet:
-    """The family-specific prime-set decomposition; must agree with the order.
+    """The union of the primes of the spec's cyclotomic factors; must
+    agree with the order.
 
-    Suzuki: {2} | pi(q^2-1) | pi(q^4+1) (parameter is q^2);
-    PSL3:   {p} | pi((q-1)(q+1)(q^2+q+1));
-    PSU3:   {p} | pi((q-1)(q+1)(q^2-q+1));
+    Suzuki: {2} | pi(Q-1) | pi(Q+r+1) | pi(Q-r+1) (parameter Q = q^2,
+            r = sqrt(2Q), so the last two give pi(Q^2+1));
+    PSL3:   {p} | pi(q-1) | pi(q+1) | pi(q^2+q+1);
+    PSU3:   {p} | pi(q-1) | pi(q+1) | pi(q^2-q+1);
     PSL2:   {p} | pi(q-1) | pi(q+1).
     """
-    fam, q = spec.family, spec.parameter
-    if fam is Family.SUZUKI:
-        return prime_set(q) | prime_set(q - 1) | prime_set(q * q + 1)
-    if fam is Family.PSL2:
-        return prime_set(q) | prime_set(q - 1) | prime_set(q + 1)
-    if fam is Family.PSL3:
-        return prime_set(q) | prime_set((q - 1) * (q + 1) * (q * q + q + 1))
-    if fam is Family.PSU3:
-        return prime_set(q) | prime_set((q - 1) * (q + 1) * (q * q - q + 1))
-    raise UnsupportedFamilyError(f"no family rule for {spec}")
+    return PrimeSet._known(p for f in spec.cyclotomic_factors for p, _ in f.factors)
 
 
 # ---------------------------------------------------------------------------
@@ -338,14 +391,13 @@ def classify_four_prime_psl2(spec: GroupSpec) -> FourPrimeCase:
     pi = prime_set_of_group(spec)
     if len(pi) != 4:
         raise ValueError(f"{spec} has {len(pi)} prime divisors, need 4")
-    q = spec.parameter
-    assert q is not None
-    if is_prime(q) and q == pi.max():
+    [(p, f)] = spec.factorization.factors  # type: ignore[union-attr]
+    if f == 1 and p == pi.max():
         return FourPrimeCase.CASE_R
-    p, f = as_prime_power(q)  # type: ignore[misc]
-    if p == 2 and is_mersenne_prime_exponent(f) and 2**f - 1 == pi.max():
+    # pi.max() is prime, so 2**f - 1 equal to it is a Mersenne prime.
+    if p == 2 and 2**f - 1 == pi.max():
         return FourPrimeCase.CASE_MERSENNE
-    if p == 3 and is_prime(f) and f >= 5:
+    if p == 3 and f >= 5 and is_prime(f):
         return FourPrimeCase.CASE_3T
     return FourPrimeCase.NONE
 

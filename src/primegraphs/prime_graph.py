@@ -15,7 +15,7 @@ import json
 from dataclasses import dataclass
 from itertools import combinations
 
-from .arithmetic import PrimeSet, prime_set
+from .arithmetic import PrimeSet
 from .census import (
     GraphClass,
     Rows,
@@ -32,6 +32,7 @@ from .groups import (
     canonical_key,
     character_degrees,
     degree_table,
+    prime_set_by_family_rule,
     prime_set_of_group,
 )
 
@@ -152,40 +153,31 @@ class PrimeGraph:
 
 
 def graph_from_degrees(cd: DegreeSet) -> PrimeGraph:
-    """Edge p-q iff pq divides some degree."""
-    vertices = PrimeSet()
-    edges = set()
-    for d in cd:
-        ps = prime_set(d)
-        vertices |= ps
-        edges.update(combinations(tuple(ps), 2))
-    return PrimeGraph(vertices, edges)
-
-
-def _is_2a3b(n: int, require_even: bool) -> bool:
-    # n = 2**i * 3**j with i >= 1 when require_even, else i, j >= 0.
-    if require_even and n % 2:
-        return False
-    while n % 2 == 0:
-        n //= 2
-    while n % 3 == 0:
-        n //= 3
-    return n == 1
+    """Edge p-q iff pq divides some degree; the primes come from the
+    factorizations the degree set carries."""
+    vertices, edges = set(), set()
+    for f in cd.factorizations:
+        ps = [p for p, _ in f.factors]
+        vertices.update(ps)
+        edges.update(combinations(ps, 2))
+    return PrimeGraph(PrimeSet._known(vertices), edges)
 
 
 def structural_graph(spec: GroupSpec) -> PrimeGraph:
     """Build the degree graph of a Lie-type group from its known shape
-    rather than from a degree list.
+    rather than from a degree list, reading every prime from the spec's
+    cyclotomic factors.
 
-    Suzuki (parameter q^2): the odd primes form a clique and 2 is adjacent
-    to exactly the primes of q^2-1.  PSL3(q): complete when q-1 = 2^i 3^j
-    (i >= 1); otherwise the primes of (q-1)(q+1)(q^2+q+1) form a clique and
-    the defining prime p is adjacent to the primes of q+1 or q^2+q+1.
-    PSU3(q): the mirror image, with q+1 = 2^i 3^j (i, j >= 0) complete and
-    p adjacent to the primes of q-1 or q^2-q+1.  PSL2(q): p is isolated;
-    for odd q, 2 is joined to all other primes and odd primes are adjacent
-    iff both divide q-1 or both divide q+1; for even q the primes of q-1
-    and of q+1 form two separate cliques.
+    Suzuki (parameter Q = q^2, r = sqrt(2Q)): the odd primes form a clique
+    and 2 is adjacent to exactly the primes of Q-1; the other odd primes
+    are those of Q+r+1 and Q-r+1.  PSL3(q): complete when the primes of q-1
+    lie in {2, 3}; otherwise the primes of (q-1)(q+1)(q^2+q+1) form a
+    clique and the defining prime p is adjacent to the primes of q+1 and
+    q^2+q+1.  PSU3(q): the mirror image, complete when the primes of q+1
+    lie in {2, 3}, with p adjacent to the primes of q-1 and q^2-q+1.
+    PSL2(q): p is isolated; for odd q, 2 is joined to all other primes and
+    odd primes are adjacent iff both divide q-1 or both divide q+1; for
+    even q the primes of q-1 and of q+1 form two separate cliques.
     """
     fam, q = spec.family, spec.parameter
     if fam in (Family.SPORADIC, Family.ALTERNATING):
@@ -195,10 +187,11 @@ def structural_graph(spec: GroupSpec) -> PrimeGraph:
     assert q is not None
 
     if fam is Family.SUZUKI:
-        odd = prime_set(q - 1) | prime_set(q * q + 1)
+        f_q, f_minus, f_plus_r, f_minus_r = spec.cyclotomic_factors
+        odd = f_minus.primes() | f_plus_r.primes() | f_minus_r.primes()
         edges = set(combinations(tuple(odd), 2))
-        edges.update((2, r) for r in prime_set(q - 1))
-        return PrimeGraph(prime_set(q) | odd, edges)  # q is a power of 2
+        edges.update((2, r) for r in f_minus.primes())
+        return PrimeGraph(f_q.primes() | odd, edges)  # Q is a power of 2
 
     if fam is Family.PSL3 or fam is Family.PSU3:
         key = canonical_key(spec)
@@ -208,28 +201,27 @@ def structural_graph(spec: GroupSpec) -> PrimeGraph:
             # PSL3(4) is the one member the generic rule gets wrong.
             return graph_from_degrees(degree_table("psl3_4").degree_set())
         pi = prime_set_of_group(spec)
+        f_q, f_minus, f_plus, f_cyc = spec.cyclotomic_factors
         if fam is Family.PSL3:
-            cyclotomic = _is_2a3b(q - 1, require_even=True)
-            torus = (q + 1) * (q * q + q + 1)
+            split, torus = f_minus, (f_plus, f_cyc)
         else:
-            cyclotomic = _is_2a3b(q + 1, require_even=False)
-            torus = (q - 1) * (q * q - q + 1)
-        if cyclotomic:
+            split, torus = f_plus, (f_minus, f_cyc)
+        if set(split.primes()) <= {2, 3}:
             return PrimeGraph(pi, combinations(tuple(pi), 2))
-        defining = prime_set(q)
+        defining = f_q.primes()
         edges = set(combinations(tuple(pi - defining), 2))
-        edges.update((p, r) for p in defining for r in prime_set(torus))
+        edges.update((p, r) for p in defining for f in torus for r in f.primes())
         return PrimeGraph(pi, edges)
 
     # PSL2.  The three smallest members coincide with alternating groups
     # whose degree graphs the generic rules do not cover.
     if q in (4, 5, 9):
         return graph_from_degrees(character_degrees(spec))
-    vertices = prime_set(q) | prime_set(q - 1) | prime_set(q + 1)
+    _, f_minus, f_plus = spec.cyclotomic_factors
     edges: set[tuple[int, int]] = set()
-    for side in (q - 1, q + 1):
-        edges.update(combinations(tuple(prime_set(side)), 2))
-    return PrimeGraph(vertices, edges)
+    for side in (f_minus, f_plus):
+        edges.update(combinations(tuple(side.primes()), 2))
+    return PrimeGraph(prime_set_by_family_rule(spec), edges)
 
 
 def graph_of(spec: GroupSpec) -> PrimeGraph:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Callable
 
-from .arithmetic import is_prime, prime_set
+from .arithmetic import MAX_SUPPORTED, is_prime, prime_set
 from .census import (
     GraphClass,
     class_from_edges,
@@ -47,7 +47,8 @@ from .prime_graph import PrimeGraph, graph_from_degrees, graph_of, product_graph
 
 # The PSL2/PSL3/PSU3 sweeps sieve the primes up to the square root of their
 # bound before the first group: about 1 s and 6 MiB at 10**12, gigabytes at
-# 10**18.  Suzuki parameters are powers of 2 and need no sieve.
+# 10**18.  Suzuki parameters are powers of 2 and need no sieve; they are
+# capped by the 63-bit range of `factor` instead.
 MAX_SIEVED_BOUND = 10**12
 
 
@@ -65,8 +66,9 @@ class Bounds:
             value = getattr(self, name)
             if value <= 0:
                 raise ValueError(f"{name} must be positive, got {value}")
-            if value > MAX_SIEVED_BOUND and name != "suzuki_max":
-                raise ValueError(f"{name} must be <= {MAX_SIEVED_BOUND}, got {value}")
+            cap = MAX_SUPPORTED if name == "suzuki_max" else MAX_SIEVED_BOUND
+            if value > cap:
+                raise ValueError(f"{name} must be <= {cap}, got {value}")
         if self.product_trials < 0:
             raise ValueError(
                 f"product_trials must be non-negative, got {self.product_trials}"

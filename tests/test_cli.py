@@ -1,6 +1,8 @@
 import json
 
 from primegraphs.cli import main
+from primegraphs.groups import GroupSpec, group_order
+from test_groups import assert_primes_of_order
 
 
 def run(capsys, *argv):
@@ -58,6 +60,28 @@ def test_graph_byte_stable(capsys):
     _, first, _ = run(capsys, "graph", "suzuki", "32", "--format", "dot")
     _, second, _ = run(capsys, "graph", "suzuki", "32", "--format", "dot")
     assert first == second
+
+
+def test_graph_large_lie_parameters(capsys):
+    # Each cyclotomic factor fits the 63-bit range of factor, while the
+    # orders, and (q-1)(q+1)(q^2+-q+1) or Q^2 + 1, do not.
+    cases = [("psl3", 65537), ("psu3", 65537), ("psl3", 1000003)]
+    cases += [("suzuki", 2**e) for e in range(33, 62, 2)]
+    for family, q in cases:
+        code, out, err = run(capsys, "graph", family, str(q), "--format", "json")
+        assert code == 0 and err == "", (family, q, err)
+        doc = json.loads(out)
+        order = group_order(GroupSpec.parse(family, str(q)))
+        assert order > 2**63
+        assert_primes_of_order(doc["vertices"], order)
+        if family == "suzuki":
+            two = {b for a, b in doc["edges"] if a == 2}
+            assert two == {p for p in doc["vertices"] if p > 2 and (q - 1) % p == 0}
+
+
+def test_graph_beyond_the_range_is_a_usage_error(capsys):
+    code, out, err = run(capsys, "graph", "suzuki", str(2**63))
+    assert code == 2 and out == "" and "63-bit" in err
 
 
 def test_enum(capsys):
@@ -121,6 +145,8 @@ def test_verify_rejects_bad_bounds(capsys):
         ("--psl2-max", str(10**12 + 1)),
         ("--psl3-max", str(10**12 + 1)),
         ("--psu3-max", str(10**18)),
+        ("--suzuki-max", str(10**20)),
+        ("--suzuki-max", str(2**63)),
     ):
         code, out, err = run(capsys, "verify", "--only", "order6-census", *argv)
         assert code == 2 and out == "", argv

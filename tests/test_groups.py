@@ -1,13 +1,15 @@
 import math
+import sys
 import tracemalloc
 from itertools import islice
 
 import pytest
 
-from primegraphs import groups
+from primegraphs import arithmetic, groups
 
-from primegraphs.arithmetic import as_prime_power, prime_set
+from primegraphs.arithmetic import MAX_SUPPORTED, as_prime_power, factor, prime_set
 from primegraphs.groups import (
+    DegreeSet,
     Family,
     FourPrimeCase,
     GroupSpec,
@@ -24,6 +26,44 @@ from primegraphs.groups import (
     prime_set_of_group,
     suzuki_parameters,
 )
+from primegraphs.prime_graph import graph_of, structural_graph
+from primegraphs.verify import Bounds
+
+
+def is_strong_probable_prime(n):
+    """Miller-Rabin to the first twelve prime bases, written apart from
+    primegraphs.arithmetic; exact below 3.18e23."""
+    if n < 2:
+        return False
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    if n in bases:
+        return True
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in bases:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def assert_primes_of_order(primes, order):
+    """The divide-out oracle: `primes` are exactly the prime divisors of
+    the exact big-integer `order`, checked without `factor`."""
+    rest = order
+    for p in primes:
+        assert is_strong_probable_prime(p), p
+        assert rest % p == 0, p
+        while rest % p == 0:
+            rest //= p
+    assert rest == 1, rest
 
 
 def test_spec_validation():
@@ -103,17 +143,103 @@ def test_prime_sets():
 
 
 def test_family_rule_agrees_with_order():
+    b = Bounds()
     specs = (
-        [GroupSpec.psl2(q) for q in prime_powers(4, 200)]
-        + [GroupSpec.suzuki(q2) for q2 in suzuki_parameters(2**11)]
-        + [GroupSpec.psl3(q) for q in prime_powers(2, 50)]
-        + [GroupSpec.psu3(q) for q in prime_powers(3, 50)]
+        [GroupSpec.psl2(q) for q in prime_powers(4, b.psl2_max)]
+        + [GroupSpec.suzuki(q2) for q2 in suzuki_parameters(2**31)]
+        + [GroupSpec.psl3(q) for q in prime_powers(2, b.psl3_max)]
+        + [GroupSpec.psu3(q) for q in prime_powers(3, b.psu3_max)]
     )
+    beyond = 0
     for spec in specs:
-        assert (
-            prime_set_by_family_rule(spec).primes
-            == prime_set(group_order(spec)).primes
-        ), spec
+        rule, order = prime_set_by_family_rule(spec).primes, group_order(spec)
+        if order <= MAX_SUPPORTED:
+            assert rule == prime_set(order).primes, spec
+        else:
+            beyond += 1
+            assert_primes_of_order(rule, order)
+    assert beyond == 10  # Suzuki 2**13 .. 2**31
+
+
+def _cyclotomic_values(spec):
+    q = spec.parameter
+    if spec.family is Family.SUZUKI:
+        r = math.isqrt(2 * q)
+        return (q, q - 1, q + r + 1, q - r + 1)
+    return {
+        Family.PSL2: (q, q - 1, q + 1),
+        Family.PSL3: (q, q - 1, q + 1, q * q + q + 1),
+        Family.PSU3: (q, q - 1, q + 1, q * q - q + 1),
+    }[spec.family]
+
+
+def test_carried_factorizations_match_factor():
+    # Both sides of structural-agreement read these factorizations, so they
+    # are checked here against factoring each value afresh.
+    for q in prime_powers(4, 10**4):
+        cd = character_degrees(GroupSpec.psl2(q))
+        assert cd.factorizations == tuple(factor(d) for d in cd.degrees), q
+    b = Bounds()
+    lie = 0
+    for spec in all_specs(b.psl2_max, b.suzuki_max, b.psl3_max, b.psu3_max):
+        if spec.family in (Family.SPORADIC, Family.ALTERNATING):
+            continue
+        lie += 1
+        fs = spec.cyclotomic_factors
+        assert tuple(f.value for f in fs) == _cyclotomic_values(spec), spec
+        assert fs == tuple(factor(f.value) for f in fs), spec
+        if spec.family is Family.SUZUKI:
+            assert fs[2].value * fs[3].value == spec.parameter**2 + 1
+    assert lie == 1400
+
+
+def test_degree_set_factorizations():
+    hand = DegreeSet([12, 1, 35, 12])
+    assert hand.degrees == (1, 12, 35)
+    assert hand.factorizations == (factor(1), factor(12), factor(35))
+    # supplied factorizations are kept and do not take part in equality
+    assert DegreeSet([1, factor(35), 12]) == hand
+    assert hash(DegreeSet([1, factor(35), 12])) == hash(hand)
+    with pytest.raises(ValueError):
+        DegreeSet([3, 5])
+    with pytest.raises(ValueError):
+        DegreeSet([0, 1])
+
+
+def test_table_groups_have_no_cyclotomic_factors():
+    for spec in (GroupSpec.sporadic("j1"), GroupSpec.alternating(7)):
+        assert spec.factorization is None
+        with pytest.raises(UnsupportedFamilyError):
+            spec.cyclotomic_factors
+
+
+def test_factor_budget(monkeypatch):
+    # One factorization per cyclotomic factor, the parameter's included,
+    # whatever a spec is asked for.  Table-backed members (PSL2 of 4, 5, 9,
+    # PSL3 of 2 and 4) factor their table's degrees instead and are left out.
+    calls = []
+
+    def counting(n):
+        calls.append(n)
+        return factor(n)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("primegraphs") and getattr(module, "factor", None) is factor:
+            monkeypatch.setattr(module, "factor", counting)
+    assert arithmetic.factor is counting and groups.factor is counting
+    cases = (
+        [(GroupSpec.psl2, q, 3) for q in prime_powers(7, 3000) if q != 9]
+        + [(GroupSpec.psl3, q, 4) for q in prime_powers(3, 500) if q != 4]
+        + [(GroupSpec.psu3, q, 4) for q in prime_powers(3, 500)]
+        + [(GroupSpec.suzuki, q2, 4) for q2 in suzuki_parameters(2**61)]
+    )
+    for make, q, budget in cases:
+        calls.clear()
+        spec = make(q)
+        graph_of(spec)
+        structural_graph(spec)
+        prime_set_of_group(spec)
+        assert len(calls) <= budget, (str(spec), calls)
 
 
 def test_rho_equals_pi_for_psl2():

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from primegraphs.arithmetic import MAX_SUPPORTED
 from primegraphs.verify import MAX_SIEVED_BOUND, Bounds, claim_ids, run_all, run_one
 
 SMALL = Bounds(psl2_max=500, suzuki_max=2**9, psl3_max=50, psu3_max=50,
@@ -65,7 +66,9 @@ def test_claim_ids_unique_and_stable():
         for field in ("psl2_max", "suzuki_max", "psl3_max", "psu3_max")
     ]
     # The sieved sweeps are capped; the cap is checked before any sieve.
-    + [(MAX_SIEVED_BOUND + 1, field) for field in ("psl2_max", "psl3_max", "psu3_max")],
+    + [(MAX_SIEVED_BOUND + 1, field) for field in ("psl2_max", "psl3_max", "psu3_max")]
+    # Suzuki parameters are capped by the 63-bit range of factor.
+    + [(MAX_SUPPORTED + 1, "suzuki_max"), (10**20, "suzuki_max")],
 )
 def test_bounds_reject_non_positive_maxima(value, field):
     with pytest.raises(ValueError, match=field):
@@ -75,6 +78,7 @@ def test_bounds_reject_non_positive_maxima(value, field):
 def test_bounds_accept_the_cap():
     assert Bounds(psl2_max=MAX_SIEVED_BOUND).psl2_max == MAX_SIEVED_BOUND
     assert Bounds(suzuki_max=MAX_SIEVED_BOUND + 1).suzuki_max == MAX_SIEVED_BOUND + 1
+    assert Bounds(suzuki_max=MAX_SUPPORTED).suzuki_max == MAX_SUPPORTED
 
 
 def test_bounds_product_trials():
