@@ -4,9 +4,7 @@ census of small regular graphs and a suite of machine-checked claims."""
 from .arithmetic import (
     Factorization,
     PrimeSet,
-    as_prime_power,
     factor,
-    is_mersenne_prime_exponent,
     is_prime,
     prime_set,
 )

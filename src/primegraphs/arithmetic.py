@@ -1,4 +1,4 @@
-"""Exact integer arithmetic: factorization, prime sets, prime-power recognition.
+"""Exact integer arithmetic: primality, factorization and prime sets.
 
 Everything here is deterministic and exact for inputs up to MAX_SUPPORTED
 (unsigned 63-bit).  Larger inputs are rejected rather than silently
@@ -14,15 +14,15 @@ The public `PrimeSet(iterable)` constructor checks every element with
 `is_prime`.  The set algebra (`|`, `&`, `-`) and `Factorization.primes`
 build their results from elements that are already known prime, through
 the unchecked `PrimeSet._known`, and do not check them again.
-`Factorization.divide` derives the factorization of a quotient by
-lowering an exponent, without factoring again.
+`Factorization.divide` derives the factorization of a quotient by one
+prime by lowering its exponent, without factoring again.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd, isqrt
-from typing import Iterator, Optional
+from typing import Iterator
 
 MAX_SUPPORTED = 2**63 - 1
 
@@ -118,16 +118,16 @@ class Factorization:
     def primes(self) -> "PrimeSet":
         return PrimeSet._known(p for p, _ in self.factors)
 
-    def divide(self, p: int, e: int = 1) -> "Factorization":
-        """The factorization of value // p**e, by lowering p's exponent;
-        p**e must divide value."""
+    def divide(self, p: int) -> "Factorization":
+        """The factorization of value // p, by lowering p's exponent; the
+        prime p must divide value."""
         factors = []
         for r, k in self.factors:
             if r == p:
-                k -= e
+                k -= 1
             if k:
                 factors.append((r, k))
-        return Factorization(self.value // p**e, tuple(factors))
+        return Factorization(self.value // p, tuple(factors))
 
 
 @dataclass(frozen=True)
@@ -209,20 +209,3 @@ def prime_set(n: int) -> PrimeSet:
     """Set of distinct prime divisors of n >= 1."""
     return factor(n).primes()
 
-
-def as_prime_power(n: int) -> Optional[tuple[int, int]]:
-    """Return (p, f) with p**f == n if n >= 2 is a prime power, else None."""
-    if n < 2:
-        raise ValueError("as_prime_power requires n >= 2")
-    _check_range(n)
-    f = factor(n)
-    if len(f.factors) != 1:
-        return None
-    return f.factors[0]
-
-
-def is_mersenne_prime_exponent(s: int) -> bool:
-    """True iff s is prime and 2**s - 1 is prime."""
-    if s < 2:
-        raise ValueError("exponent must be >= 2")
-    return is_prime(s) and 2**s - 1 <= MAX_SUPPORTED and is_prime(2**s - 1)

@@ -67,6 +67,11 @@ def _cmd_product(args: argparse.Namespace) -> int:
 
 
 def _cmd_enum(args: argparse.Namespace) -> int:
+    for flag, c in (("--require-clique", args.require_clique),
+                    ("--free-of-clique", args.free_of_clique)):
+        if c is not None and c < 1:
+            print(f"error: {flag} must be at least 1, got {c}", file=sys.stderr)
+            return 2
     try:
         result = census.enumerate_regular(args.n, args.k)
     except ValueError as exc:
@@ -76,9 +81,9 @@ def _cmd_enum(args: argparse.Namespace) -> int:
         print(f"no graphs: n*k = {args.n * args.k} is odd")
         return 0
     classes = list(result)
-    if args.require_clique:
+    if args.require_clique is not None:
         classes = [g for g in classes if census.contains_clique(g, args.require_clique)]
-    if args.free_of_clique:
+    if args.free_of_clique is not None:
         classes = [g for g in classes if not census.contains_clique(g, args.free_of_clique)]
     print(f"{len(classes)} classes of {args.k}-regular graphs on {args.n} vertices")
     for i, g in enumerate(classes):
@@ -122,7 +127,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _cmd_catalog(args: argparse.Namespace) -> int:
     cat = census.catalog()
-    if args.name:
+    if args.name is not None:
         if args.name not in cat:
             print(f"error: unknown catalog graph {args.name!r}", file=sys.stderr)
             return 2

@@ -3,8 +3,10 @@
 Covers four Lie-type families (PSL2, PSL3, PSU3, Suzuki), the small
 alternating groups and a handful of sporadic groups, which together are all
 the simple groups whose degree graphs this project reasons about.  Sporadic
-and alternating data come from plain-text tables in the bundled data
-directory; everything else is computed from closed order formulas.
+and alternating degrees, and those of PSL3(4), come from plain-text tables
+in the bundled data directory; everything else is computed from closed
+formulas.  One alias map sends the small Lie-type specs that are other
+groups of the catalog (PSL2(4), PSL2(5), PSL2(9), PSL3(2)) to those groups.
 
 Every order, degree and prime set of a Lie-type group is a product of a
 few cyclotomic factors: q, q - 1, q + 1, q^2 + q + 1, q^2 - q + 1, and for
@@ -280,27 +282,29 @@ def bundled_table_names() -> tuple[str, ...]:
 # ---------------------------------------------------------------------------
 # Aliases between small members of different families.
 
+# Small Lie-type specs that are, up to isomorphism, another group of the
+# catalog; keys, table lookups and degree sets all go through this map.
+_ALIASES = {
+    (Family.PSL2, 4): GroupSpec.alternating(5),
+    (Family.PSL2, 5): GroupSpec.alternating(5),
+    (Family.PSL2, 9): GroupSpec.alternating(6),
+    (Family.PSL3, 2): GroupSpec.psl2(7),
+}
+
+
 def canonical_key(spec: GroupSpec) -> str:
     """Isomorphism-invariant key, folding the small cross-family aliases."""
-    fam, q = spec.family, spec.parameter
-    if fam is Family.SPORADIC:
+    spec = _ALIASES.get((spec.family, spec.parameter), spec)
+    if spec.family is Family.SPORADIC:
         return spec.name  # type: ignore[return-value]
-    if fam is Family.ALTERNATING:
-        return f"a{q}"
-    if fam is Family.PSL2:
-        if q in (4, 5):
-            return "a5"
-        if q == 9:
-            return "a6"
-        return f"psl2_{q}"
-    if fam is Family.PSL3 and q == 2:
-        return "psl2_7"  # PSL3(2) is PSL2(7)
-    return f"{fam.value}_{q}"
+    if spec.family is Family.ALTERNATING:
+        return f"a{spec.parameter}"
+    return f"{spec.family.value}_{spec.parameter}"
 
 
 def _table_for(spec: GroupSpec) -> Optional[DegreeTable]:
     key = canonical_key(spec)
-    if key in ("a5", "a6", "a7", "a8", "j1", "m11", "m23"):
+    if key in ("a5", "a6", "a7", "a8", "j1", "m11", "m23", "psl3_4"):
         return degree_table(key)
     return None
 
@@ -329,17 +333,20 @@ def group_order(spec: GroupSpec) -> int:
 # Character degrees.
 
 def character_degrees(spec: GroupSpec) -> DegreeSet:
-    """Degree set from the PSL2 closed formula or a bundled table.
+    """Degree set from the PSL2 closed formula or a bundled table; an
+    aliased spec takes the degrees of the group it is, so no PSL2 spec
+    left after the alias map is table-backed.
 
-    PSL3/PSU3/Suzuki degree sets are not bundled; their graphs are built
-    structurally in the prime_graph module.
+    Other PSL3/PSU3/Suzuki degree sets are not bundled; their graphs are
+    built structurally in the prime_graph module.
     """
-    fam, q = spec.family, spec.parameter
-    table = _table_for(spec)
-    if table is not None:
+    spec = _ALIASES.get((spec.family, spec.parameter), spec)
+    if spec.family is not Family.PSL2:
+        table = _table_for(spec)
+        if table is None:
+            raise UnsupportedFamilyError(f"no degree set for {spec}")
         return table.degree_set()
-    if fam is not Family.PSL2:
-        raise UnsupportedFamilyError(f"no degree set for {spec}")
+    q = spec.parameter
     f_q, f_minus, f_plus = spec.cyclotomic_factors
     degrees = [Factorization(1, ()), f_minus, f_q, f_plus]
     if q % 2:
@@ -359,19 +366,6 @@ def prime_set_of_group(spec: GroupSpec) -> PrimeSet:
     factor their order."""
     if spec.family in (Family.SPORADIC, Family.ALTERNATING):
         return prime_set(group_order(spec))
-    return prime_set_by_family_rule(spec)
-
-
-def prime_set_by_family_rule(spec: GroupSpec) -> PrimeSet:
-    """The union of the primes of the spec's cyclotomic factors; must
-    agree with the order.
-
-    Suzuki: {2} | pi(Q-1) | pi(Q+r+1) | pi(Q-r+1) (parameter Q = q^2,
-            r = sqrt(2Q), so the last two give pi(Q^2+1));
-    PSL3:   {p} | pi(q-1) | pi(q+1) | pi(q^2+q+1);
-    PSU3:   {p} | pi(q-1) | pi(q+1) | pi(q^2-q+1);
-    PSL2:   {p} | pi(q-1) | pi(q+1).
-    """
     return PrimeSet._known(p for f in spec.cyclotomic_factors for p, _ in f.factors)
 
 

@@ -29,10 +29,7 @@ from .groups import (
     Family,
     GroupSpec,
     UnsupportedFamilyError,
-    canonical_key,
     character_degrees,
-    degree_table,
-    prime_set_by_family_rule,
     prime_set_of_group,
 )
 
@@ -163,6 +160,10 @@ def graph_from_degrees(cd: DegreeSet) -> PrimeGraph:
     return PrimeGraph(PrimeSet._known(vertices), edges)
 
 
+# The members White's rules get wrong; see structural_graph.
+_RULE_EXCEPTIONS = ((Family.PSL2, 5), (Family.PSL3, 2), (Family.PSL3, 4))
+
+
 def structural_graph(spec: GroupSpec) -> PrimeGraph:
     """Build the degree graph of a Lie-type group from its known shape
     rather than from a degree list, reading every prime from the spec's
@@ -178,13 +179,18 @@ def structural_graph(spec: GroupSpec) -> PrimeGraph:
     PSL2(q): p is isolated; for odd q, 2 is joined to all other primes and
     odd primes are adjacent iff both divide q-1 or both divide q+1; for
     even q the primes of q-1 and of q+1 form two separate cliques.
+
+    The rules fail on three members, which are built from their degree
+    sets instead: PSL2(5) = A5, where the rule joins 2 and 3, and PSL3(2)
+    = PSL2(7) and PSL3(4), which the rule makes complete.
     """
     fam, q = spec.family, spec.parameter
     if fam in (Family.SPORADIC, Family.ALTERNATING):
         raise UnsupportedFamilyError(
             f"{spec} has no structural rule; build from its degree table"
         )
-    assert q is not None
+    if (fam, q) in _RULE_EXCEPTIONS:
+        return graph_from_degrees(character_degrees(spec))
 
     if fam is Family.SUZUKI:
         f_q, f_minus, f_plus_r, f_minus_r = spec.cyclotomic_factors
@@ -194,12 +200,6 @@ def structural_graph(spec: GroupSpec) -> PrimeGraph:
         return PrimeGraph(f_q.primes() | odd, edges)  # Q is a power of 2
 
     if fam is Family.PSL3 or fam is Family.PSU3:
-        key = canonical_key(spec)
-        if key == "psl2_7":
-            return structural_graph(GroupSpec.psl2(7))
-        if fam is Family.PSL3 and q == 4:
-            # PSL3(4) is the one member the generic rule gets wrong.
-            return graph_from_degrees(degree_table("psl3_4").degree_set())
         pi = prime_set_of_group(spec)
         f_q, f_minus, f_plus, f_cyc = spec.cyclotomic_factors
         if fam is Family.PSL3:
@@ -213,15 +213,12 @@ def structural_graph(spec: GroupSpec) -> PrimeGraph:
         edges.update((p, r) for p in defining for f in torus for r in f.primes())
         return PrimeGraph(pi, edges)
 
-    # PSL2.  The three smallest members coincide with alternating groups
-    # whose degree graphs the generic rules do not cover.
-    if q in (4, 5, 9):
-        return graph_from_degrees(character_degrees(spec))
+    # PSL2
     _, f_minus, f_plus = spec.cyclotomic_factors
     edges: set[tuple[int, int]] = set()
     for side in (f_minus, f_plus):
         edges.update(combinations(tuple(side.primes()), 2))
-    return PrimeGraph(prime_set_by_family_rule(spec), edges)
+    return PrimeGraph(prime_set_of_group(spec), edges)
 
 
 def graph_of(spec: GroupSpec) -> PrimeGraph:

@@ -16,6 +16,13 @@ def test_cd(capsys):
     assert code == 0 and out == "1 63 64 65\n"
 
 
+def test_cd_aliases_and_tables(capsys):
+    code, out, _ = run(capsys, "cd", "psl3", "2")  # PSL3(2) is PSL2(7)
+    assert code == 0 and out == "1 3 6 7 8\n"
+    code, out, _ = run(capsys, "cd", "psl3", "4")
+    assert code == 0 and out == "1 20 35 45 63 64\n"
+
+
 def test_cd_unsupported(capsys):
     code, _, err = run(capsys, "cd", "suzuki", "8")
     assert code == 2 and "suzuki" in err
@@ -100,6 +107,19 @@ def test_enum_filters(capsys):
     assert code == 0 and out.startswith("5 classes")
 
 
+def test_enum_rejects_clique_sizes_below_one(capsys):
+    for flag in ("--require-clique", "--free-of-clique"):
+        for c in ("0", "-3"):
+            code, out, err = run(capsys, "enum", "--n", "8", "--k", "4", flag, c)
+            assert code == 2 and out == "", (flag, c)
+            assert err.startswith("error: ") and flag in err
+    # C = 1 is a real filter: every graph on 8 vertices contains K1
+    code, out, _ = run(capsys, "enum", "--n", "8", "--k", "4", "--require-clique", "1")
+    assert code == 0 and out.startswith("6 classes")
+    code, out, _ = run(capsys, "enum", "--n", "8", "--k", "4", "--free-of-clique", "1")
+    assert code == 0 and out == "0 classes of 4-regular graphs on 8 vertices\n"
+
+
 def test_enum_parity(capsys):
     code, out, _ = run(capsys, "enum", "--n", "5", "--k", "3")
     assert code == 0 and "odd" in out
@@ -172,6 +192,8 @@ def test_catalog(capsys):
     assert code == 0 and out.startswith("octahedron: n=6")
     code, _, err = run(capsys, "catalog", "nonesuch")
     assert code == 2 and "nonesuch" in err
+    code, out, err = run(capsys, "catalog", "")
+    assert code == 2 and out == "" and err.startswith("error: ")
 
 
 def test_usage_errors(capsys):

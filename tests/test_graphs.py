@@ -119,6 +119,12 @@ def test_structural_psl3_aliases_and_exceptions():
     assert not g4.has_edge(2, 3) and not g4.has_edge(2, 7)
 
 
+def test_structural_exceptions_are_built_from_degrees():
+    # the three members White's rules get wrong
+    for spec in (GroupSpec.psl2(5), GroupSpec.psl3(2), GroupSpec.psl3(4)):
+        assert structural_graph(spec) == graph_from_degrees(character_degrees(spec)), spec
+
+
 def test_suzuki_sweep_regularity():
     # 2 is never adjacent to the large-torus primes, so no Suzuki graph is
     # regular with positive degree

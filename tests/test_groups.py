@@ -7,7 +7,7 @@ import pytest
 
 from primegraphs import arithmetic, groups
 
-from primegraphs.arithmetic import MAX_SUPPORTED, as_prime_power, factor, prime_set
+from primegraphs.arithmetic import MAX_SUPPORTED, factor, prime_set
 from primegraphs.groups import (
     DegreeSet,
     Family,
@@ -22,7 +22,6 @@ from primegraphs.groups import (
     degree_table,
     group_order,
     prime_powers,
-    prime_set_by_family_rule,
     prime_set_of_group,
     suzuki_parameters,
 )
@@ -152,7 +151,7 @@ def test_family_rule_agrees_with_order():
     )
     beyond = 0
     for spec in specs:
-        rule, order = prime_set_by_family_rule(spec).primes, group_order(spec)
+        rule, order = prime_set_of_group(spec).primes, group_order(spec)
         if order <= MAX_SUPPORTED:
             assert rule == prime_set(order).primes, spec
         else:
@@ -215,8 +214,9 @@ def test_table_groups_have_no_cyclotomic_factors():
 
 def test_factor_budget(monkeypatch):
     # One factorization per cyclotomic factor, the parameter's included,
-    # whatever a spec is asked for.  Table-backed members (PSL2 of 4, 5, 9,
-    # PSL3 of 2 and 4) factor their table's degrees instead and are left out.
+    # whatever a spec is asked for.  Aliased and table-backed members (PSL2
+    # of 4, 5, 9, PSL3 of 2 and 4) take their degrees from another spec or
+    # a table and are left out.
     calls = []
 
     def counting(n):
@@ -273,6 +273,18 @@ def test_canonical_keys_fold_aliases():
     assert canonical_key(GroupSpec.psl2(8)) != canonical_key(GroupSpec.psl2(7))
 
 
+def test_aliases_take_the_degrees_of_their_group():
+    assert character_degrees(GroupSpec.psl3(2)) == character_degrees(GroupSpec.psl2(7))
+    assert character_degrees(GroupSpec.psl3(2)).degrees == (1, 3, 6, 7, 8)
+    a5 = character_degrees(GroupSpec.alternating(5))
+    assert character_degrees(GroupSpec.psl2(4)) == a5
+    assert character_degrees(GroupSpec.psl2(5)) == a5
+    assert character_degrees(GroupSpec.psl2(9)) == character_degrees(GroupSpec.alternating(6))
+    table = degree_table("psl3_4")
+    assert character_degrees(GroupSpec.psl3(4)) == table.degree_set()
+    assert group_order(GroupSpec.psl3(4)) == table.order
+
+
 def test_three_prime_sweep():
     found = {
         canonical_key(s)
@@ -286,10 +298,14 @@ def test_three_prime_sweep():
             assert 2 in pi and 3 in pi
 
 
+def is_prime_power(n):
+    return len(factor(n).factors) == 1
+
+
 def test_prime_powers_matches_factoring(monkeypatch):
-    # the sieve against the definition, one as_prime_power call per integer
+    # the sieve against the definition, one factorization per integer
     hi_max = 3 * 10**4
-    reference = [n for n in range(2, hi_max + 1) if as_prime_power(n)]
+    reference = [n for n in range(2, hi_max + 1) if is_prime_power(n)]
     his = list(range(-2, 40)) + list(range(40, hi_max + 1, 997)) + [hi_max]
     for hi in his:
         for lo in (-5, 0, 1, 2, 3, 4, 100, hi - 1, hi, hi + 1):
@@ -306,7 +322,7 @@ def test_prime_powers_matches_factoring(monkeypatch):
     got = list(prime_powers(2, 3 * window + 1000))
     for edge in (2 + window, 2 + 2 * window, 2 + 3 * window):
         near = range(edge - 500, edge + 500)
-        want = [n for n in near if as_prime_power(n)]
+        want = [n for n in near if is_prime_power(n)]
         assert [n for n in got if edge - 500 <= n < edge + 500] == want, edge
     # small windows put many edges inside the reference range
     for window in (1, 2, 3, 7, 64, 1000):
