@@ -8,13 +8,31 @@ predicates here read only a graph's `n` and `rows`, so they take either.
 The canonical form is the lexicographically smallest adjacency encoding
 over all vertex orderings, where vertex i contributes an i-bit chunk giving
 its adjacency to vertices 0..i-1 (earliest placed in the highest bit).  It
-is found by a breadth-first search over partial orderings that keeps, level
-by level, exactly the prefixes achieving the smallest chunk so far.  A
-prefix is held as plain integers: the mask of unplaced vertices and, per
-placed vertex, its adjacency row restricted to that mask.  One narrowing
-pass over those rows yields a prefix's smallest chunk and the vertices that
-reach it; twin vertices and prefixes with equal masks and rows (hence
-identical continuations) are collapsed to keep the frontier small.
+is searched one first vertex (root) at a time.  From a root, a
+breadth-first search over partial orderings keeps, level by level, exactly
+the prefixes achieving the smallest chunk so far.  A prefix is held as
+plain integers: the mask of unplaced vertices and, per placed vertex, its
+adjacency row restricted to that mask.  One narrowing pass over those rows
+yields a prefix's smallest chunk and the vertices that reach it; twin
+vertices and prefixes with equal masks and rows (hence identical
+continuations) are collapsed to keep the frontier small.
+
+Across roots, three rules keep the result the lex-min form while searching
+few of them:
+- Bound.  A root's search stops as soon as a level's minimum exceeds the
+  best code found so far while the earlier levels tie with it.
+- Orbits.  Two orderings with equal chunks read the same adjacency
+  matrix, so mapping one onto the other position by position is an
+  automorphism; so is the map between two merged prefixes (identity on the
+  unplaced vertices).  Their vertex pairs are united into an orbit
+  partition, and a root in the orbit of a searched root is skipped: an
+  automorphism g maps the orderings from u onto orderings from g(u) with
+  the same chunks, so g(u) can reach nothing that u did not.
+- Degree singletons.  A root alone in its degree class cannot share an
+  orbit with another root, so all such roots are seeded into one search;
+  when every root's degree is distinct this is a single search over all
+  of them.  Restricting roots to the minimum degree instead would be
+  unsound: the smallest code can start at a vertex of higher degree.
 
 The census of k-regular graphs generates labeled graphs row by row and
 prunes interchangeable vertices: when row v is filled, candidates u > v
@@ -31,7 +49,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 from pathlib import Path
-from typing import Iterator, Optional
+from typing import Callable, Iterator, Optional
 
 MAX_VERTICES = 10
 
@@ -102,22 +120,40 @@ class GraphClass:
         return all(row.bit_count() == k for row in self.rows)
 
 
-def _canonical_chunks(n: int, rows: Rows) -> tuple[int, ...]:
-    # A frontier entry is (unplaced, slices): the mask of unplaced vertices
-    # and, for each placed vertex in placement order, its adjacency row
-    # restricted to the unplaced ones.  Bit j of slice i is bit i (from the
-    # top) of vertex j's chunk, so equal keys mean equal chunk maps and such
-    # prefixes merge.  The placed order itself is not needed: the chunk
-    # sequence determines the canonical matrix.
-    frontier: set[tuple[int, tuple[int, ...]]] = {((1 << n) - 1, ())}
+def _rooted_search(
+    n: int,
+    rows: Rows,
+    roots: list[int],
+    bound: Optional[tuple[int, ...]],
+    unite: Callable[[tuple, tuple], None],
+) -> Optional[tuple[tuple[int, ...], list[tuple]]]:
+    """The smallest chunk sequence over orderings that start at one of
+    `roots`, and a link for each full ordering reaching it; None as soon as
+    a level falls behind `bound` while the earlier levels tie with it.
+
+    A link is an ordering's placement order held as (parent link, vertex),
+    so extending a prefix is O(1).  Two prefixes that merge are handed to
+    `unite`.
+    """
+    # A frontier entry maps (unplaced, slices) to its link: the mask of
+    # unplaced vertices and, for each placed vertex in placement order, its
+    # adjacency row restricted to the unplaced ones.  Bit j of slice i is
+    # bit i (from the top) of vertex j's chunk, so equal keys mean equal
+    # chunk maps, and such prefixes merge: their continuations are the same.
+    full = (1 << n) - 1
+    frontier: dict[tuple[int, tuple[int, ...]], tuple] = {}
+    for v in roots:
+        rest = full ^ 1 << v
+        frontier[(rest, (rows[v] & rest,))] = (None, v)
     chunks_out: list[int] = []
-    for level in range(n):
+    tied = bound is not None
+    for level in range(1, n):
         # An entry's smallest chunk, and the mask of vertices that reach it,
         # come from one narrowing pass: at each slice keep the candidates
         # not adjacent to that placed vertex, if any.
         best = -1
-        reached: list[tuple[int, tuple[int, ...], int]] = []
-        for unplaced, slices in frontier:
+        reached: list[tuple[int, tuple[int, ...], int, tuple]] = []
+        for (unplaced, slices), link in frontier.items():
             cand = unplaced
             chunk = 0
             for s in slices:
@@ -128,16 +164,22 @@ def _canonical_chunks(n: int, rows: Rows) -> tuple[int, ...]:
                 else:
                     chunk = chunk << 1 | 1
             if chunk == best:
-                reached.append((unplaced, slices, cand))
+                reached.append((unplaced, slices, cand, link))
             elif chunk < best or best < 0:
                 best = chunk
-                reached = [(unplaced, slices, cand)]
-        if level:
-            chunks_out.append(best)
+                reached = [(unplaced, slices, cand, link)]
+        if tied:
+            if best > bound[level - 1]:
+                return None
+            tied = best == bound[level - 1]
+        chunks_out.append(best)
         if level == n - 1:
-            break
-        nxt: set[tuple[int, tuple[int, ...]]] = set()
-        for unplaced, slices, cand in reached:
+            # One vertex is left, and it is the whole candidate mask.
+            return tuple(chunks_out), [
+                (link, cand.bit_length() - 1) for _, _, cand, link in reached
+            ]
+        nxt: dict[tuple[int, tuple[int, ...]], tuple] = {}
+        for unplaced, slices, cand, link in reached:
             # Among the candidates keep one vertex per twin class (identical
             # adjacency to the other unplaced vertices, ignoring the pair
             # itself), the lowest-indexed first.
@@ -146,16 +188,84 @@ def _canonical_chunks(n: int, rows: Rows) -> tuple[int, ...]:
             while cand:
                 low = cand & -cand
                 cand ^= low
-                open_ = rows[low.bit_length() - 1] & unplaced
+                v = low.bit_length() - 1
+                open_ = rows[v] & unplaced
                 closed = open_ | low
                 if closed in closed_seen or open_ in open_seen:
                     continue
                 closed_seen.add(closed)
                 open_seen.add(open_)
                 rest = unplaced ^ low
-                nxt.add((rest, (*[s & rest for s in slices], open_ & rest)))
+                key = (rest, (*[s & rest for s in slices], open_ & rest))
+                ext = (link, v)
+                other = nxt.setdefault(key, ext)
+                if other is not ext:
+                    unite(other, ext)
         frontier = nxt
-    return tuple(chunks_out)
+    return (), list(frontier.values())  # n == 1: the root is the ordering
+
+
+def _canonical_chunks(n: int, rows: Rows) -> tuple[int, ...]:
+    # The roots are one vertex per twin class, as at every later level.
+    roots: list[int] = []
+    closed_seen: set[int] = set()
+    open_seen: set[int] = set()
+    for v, row in enumerate(rows):
+        closed = row | 1 << v
+        if closed in closed_seen or row in open_seen:
+            continue
+        closed_seen.add(closed)
+        open_seen.add(row)
+        roots.append(v)
+    # A root alone in its degree class shares an orbit with no other root,
+    # so all such roots are searched together, and nothing can skip them.
+    # Searches go by lowest degree first: a root with fewer neighbours
+    # tends to start a smaller code, so later searches meet a tighter bound.
+    degrees = [rows[v].bit_count() for v in roots]
+    alone = [(d, v) for v, d in zip(roots, degrees) if degrees.count(d) == 1]
+    tasks = [(d, [v]) for v, d in zip(roots, degrees) if degrees.count(d) > 1]
+    if alone:
+        tasks.append((min(alone)[0], [v for _, v in alone]))
+    tasks.sort()
+
+    orbit = list(range(n))  # union-find parents of the orbit partition
+
+    def find(v: int) -> int:
+        while orbit[v] != v:
+            orbit[v] = orbit[orbit[v]]
+            v = orbit[v]
+        return v
+
+    def unite(a: Optional[tuple], b: Optional[tuple]) -> None:
+        # Two links of one length that read the same: full orderings with
+        # equal chunks, or prefixes that merged.  Mapping one onto the other
+        # position by position, and the unplaced vertices to themselves,
+        # preserves adjacency, so it is an automorphism.
+        while a is not b:
+            a, u = a  # type: ignore[misc]
+            b, w = b  # type: ignore[misc]
+            ru, rw = find(u), find(w)
+            if ru != rw:
+                orbit[ru] = rw
+
+    best: Optional[tuple[int, ...]] = None
+    best_link = None
+    searched: list[int] = []
+    for _, task in tasks:
+        if len(task) == 1:
+            root = find(task[0])
+            if any(find(s) == root for s in searched):
+                continue
+        searched += task
+        result = _rooted_search(n, rows, task, best, unite)
+        if result is None:
+            continue
+        chunks, links = result
+        if best is None or chunks < best:
+            best, best_link = chunks, links[0]
+        for link in links:
+            unite(best_link, link)
+    return best or ()
 
 
 def canonicalize(n: int, rows: Rows) -> GraphClass:

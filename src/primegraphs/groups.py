@@ -221,6 +221,9 @@ class DegreeTable:
     degrees_with_multiplicity: tuple[tuple[int, int], ...]
     maximal_indices: tuple[int, ...] = ()
     projective_factors: tuple[int, ...] = ()
+    _degree_set: Optional[DegreeSet] = field(
+        default=None, init=False, compare=False, repr=False
+    )
 
     def __post_init__(self) -> None:
         total = sum(m * d * d for d, m in self.degrees_with_multiplicity)
@@ -234,7 +237,14 @@ class DegreeTable:
             raise ValueError(f"{self.group}: degree 1 missing")
 
     def degree_set(self) -> DegreeSet:
-        return DegreeSet(d for d, _ in self.degrees_with_multiplicity)
+        # Built on first use, not at load, so loading a table factors nothing.
+        if self._degree_set is None:
+            object.__setattr__(
+                self,
+                "_degree_set",
+                DegreeSet(d for d, _ in self.degrees_with_multiplicity),
+            )
+        return self._degree_set  # type: ignore[return-value]
 
 
 def _parse_int_list(text: str) -> tuple[int, ...]:

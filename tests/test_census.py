@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from primegraphs import census
 from primegraphs.census import (
     MAX_VERTICES,
     GraphClass,
@@ -172,6 +173,117 @@ def test_canonical_forms_are_pinned():
         g = catalog()[name].graph
         h.update(f"{name} {g.n} {g.rows}\n".encode())
     assert h.hexdigest() == PINNED_CANONICAL_SHA256
+
+
+def cycle_rows(n):
+    return rows_from_edges(n, [(i, (i + 1) % n) for i in range(n)])
+
+
+def complement_rows(n, rows):
+    full = (1 << n) - 1
+    return tuple(full ^ row ^ 1 << v for v, row in enumerate(rows))
+
+
+def disjoint_union_rows(*parts):
+    rows, offset = [], 0
+    for n, part in parts:
+        rows += [row << offset for row in part]
+        offset += n
+    return tuple(rows)
+
+
+def complete_bipartite_rows(a, b):
+    return rows_from_edges(a + b, [(i, a + j) for i in range(a) for j in range(b)])
+
+
+PETERSEN = rows_from_edges(
+    10,
+    [(i, (i + 1) % 5) for i in range(5)]
+    + [(i, i + 5) for i in range(5)]
+    + [(5 + i, 5 + (i + 2) % 5) for i in range(5)],
+)
+CUBE = rows_from_edges(8, [(v, v ^ b) for v in range(8) for b in (1, 2, 4) if v < v ^ b])
+# Vertex-transitive and other highly symmetric graphs on 8 and 10 vertices,
+# where a relabeling rarely lands on the canonical labeling by chance.
+SYMMETRIC = {
+    "C10": (10, cycle_rows(10)),
+    "Petersen": (10, PETERSEN),
+    "K5,5": (10, complete_bipartite_rows(5, 5)),
+    "5K2": (10, disjoint_union_rows(*[(2, (2, 1))] * 5)),
+    "2C5": (10, disjoint_union_rows((5, cycle_rows(5)), (5, cycle_rows(5)))),
+    "Q3": (8, CUBE),
+    "K4,4": (8, complete_bipartite_rows(4, 4)),
+}
+SYMMETRIC.update(
+    {f"co-{name}": (n, complement_rows(n, rows)) for name, (n, rows) in SYMMETRIC.items()}
+)
+
+
+def test_relabel_round_trip_past_brute_force_range():
+    graphs = [canonicalize(n, rows) for n, rows in SYMMETRIC.values()]
+    graphs += [entry.graph for entry in catalog().values()]
+    graphs += [g for n in range(1, 11) for k in range(n) for g in enumerate_regular(n, k)]
+    rng = random.Random(8)
+    for g in graphs:
+        for _ in range(4):
+            perm = list(range(g.n))
+            rng.shuffle(perm)
+            assert canonicalize(g.n, relabel(g.n, g.rows, perm)) == g, g
+
+
+def test_canonical_form_where_a_minimum_degree_root_loses():
+    # The smallest code starts at vertex 9, of degree 2.  Searching only
+    # from minimum-degree roots (vertex 6, of degree 1) would give the
+    # chunks (0, 0, 0, 0, 1, 13, 45, 113, 324), above the true minimum
+    # (0, 0, 0, 0, 1, 12, 43, 201, 417).
+    rows = (132, 816, 257, 208, 138, 386, 8, 313, 678, 258)
+    assert canonicalize(10, rows).rows == (
+        768, 896, 64, 704, 288, 144, 140, 362, 659, 267
+    )
+
+
+def searched_roots(monkeypatch, n, rows):
+    calls = []
+    search = census._rooted_search
+
+    def counting(n, rows, roots, *rest):
+        calls.append(roots)
+        return search(n, rows, roots, *rest)
+
+    monkeypatch.setattr(census, "_rooted_search", counting)
+    canonicalize(n, rows)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "n, rows",
+    [
+        (8, cycle_rows(8)),
+        (10, cycle_rows(10)),
+        (10, PETERSEN),
+        (8, complement_rows(8, cycle_rows(8))),
+    ],
+    ids=["C8", "C10", "Petersen", "co-C8"],
+)
+def test_found_automorphisms_skip_roots(monkeypatch, n, rows):
+    # Every vertex is a root of its own (no twins) and all share one orbit:
+    # without skipping, each of the n roots would be searched.
+    assert len(searched_roots(monkeypatch, n, rows)) <= 2
+
+
+@pytest.mark.parametrize(
+    "rows, roots",
+    [
+        # Degrees 3, 2, 2, 1, 0: vertices 1 and 2 are adjacent twins.
+        ((14, 5, 3, 1, 0), [0, 1, 3, 4]),
+        # The star K1,4: its leaves are non-adjacent twins.
+        ((30, 1, 1, 1, 1), [0, 1]),
+    ],
+)
+def test_roots_alone_in_their_degree_share_one_search(monkeypatch, rows, roots):
+    # One root per twin class, and those roots have distinct degrees, so
+    # they take one search together.
+    assert searched_roots(monkeypatch, 5, rows) == [roots]
 
 
 def test_census_counts():

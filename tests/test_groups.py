@@ -205,6 +205,22 @@ def test_degree_set_factorizations():
         DegreeSet([0, 1])
 
 
+def test_table_degree_set_is_factored_once(monkeypatch):
+    calls = []
+
+    def counting(n):
+        calls.append(n)
+        return factor(n)
+
+    monkeypatch.setattr(groups, "factor", counting)
+    monkeypatch.setattr(groups, "_TABLES", {})
+    spec = GroupSpec.sporadic("m23")
+    first = character_degrees(spec)
+    for _ in range(2):
+        assert character_degrees(spec) == first
+    assert 0 < len(calls) <= len(degree_table("m23").degrees_with_multiplicity)
+
+
 def test_table_groups_have_no_cyclotomic_factors():
     for spec in (GroupSpec.sporadic("j1"), GroupSpec.alternating(7)):
         assert spec.factorization is None
