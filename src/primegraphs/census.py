@@ -23,16 +23,22 @@ few of them:
   best code found so far while the earlier levels tie with it.
 - Orbits.  Two orderings with equal chunks read the same adjacency
   matrix, so mapping one onto the other position by position is an
-  automorphism; so is the map between two merged prefixes (identity on the
-  unplaced vertices).  Their vertex pairs are united into an orbit
-  partition, and a root in the orbit of a searched root is skipped: an
-  automorphism g maps the orderings from u onto orderings from g(u) with
-  the same chunks, so g(u) can reach nothing that u did not.
+  automorphism; so are the map between two merged prefixes (identity on
+  the unplaced vertices) and a swap of twins.  Their vertex pairs are
+  united into an orbit partition, and a root in the orbit of a searched
+  root is skipped: an automorphism g maps the orderings from u onto
+  orderings from g(u) with the same chunks, so g(u) reaches nothing new.
 - Degree singletons.  A root alone in its degree class cannot share an
   orbit with another root, so all such roots are seeded into one search;
   when every root's degree is distinct this is a single search over all
   of them.  Restricting roots to the minimum degree instead would be
   unsound: the smallest code can start at a vertex of higher degree.
+
+The partition alone decides vertex-transitivity: every union is an
+automorphism, and in a vertex-transitive graph every root's smallest code
+is the global one, so each searched root ties the bound and joins the best
+ordering's root (degree singletons share a search there only if there is
+one root), while every other vertex is a twin or in a searched class.
 
 The census of k-regular graphs generates labeled graphs row by row and
 prunes interchangeable vertices: when row v is filled, candidates u > v
@@ -205,17 +211,20 @@ def _rooted_search(
     return (), list(frontier.values())  # n == 1: the root is the ordering
 
 
-def _canonical_chunks(n: int, rows: Rows) -> tuple[int, ...]:
-    # The roots are one vertex per twin class, as at every later level.
+def _canonical_search(n: int, rows: Rows) -> tuple[tuple[int, ...], Callable]:
+    """The canonical chunks, and the find of the orbit partition."""
+    # The roots are one vertex per twin class, as at every later level, and
+    # a twin starts in its root's orbit: swapping twins is an automorphism.
+    orbit = list(range(n))  # union-find parents of the orbit partition
     roots: list[int] = []
-    closed_seen: set[int] = set()
-    open_seen: set[int] = set()
+    closed_seen: dict[int, int] = {}
+    open_seen: dict[int, int] = {}
     for v, row in enumerate(rows):
         closed = row | 1 << v
-        if closed in closed_seen or row in open_seen:
+        orbit[v] = closed_seen.get(closed, open_seen.get(row, v))
+        if orbit[v] != v:
             continue
-        closed_seen.add(closed)
-        open_seen.add(row)
+        closed_seen[closed] = open_seen[row] = v
         roots.append(v)
     # A root alone in its degree class shares an orbit with no other root,
     # so all such roots are searched together, and nothing can skip them.
@@ -227,8 +236,6 @@ def _canonical_chunks(n: int, rows: Rows) -> tuple[int, ...]:
     if alone:
         tasks.append((min(alone)[0], [v for _, v in alone]))
     tasks.sort()
-
-    orbit = list(range(n))  # union-find parents of the orbit partition
 
     def find(v: int) -> int:
         while orbit[v] != v:
@@ -265,7 +272,7 @@ def _canonical_chunks(n: int, rows: Rows) -> tuple[int, ...]:
             best, best_link = chunks, links[0]
         for link in links:
             unite(best_link, link)
-    return best or ()
+    return best or (), find
 
 
 def canonicalize(n: int, rows: Rows) -> GraphClass:
@@ -274,7 +281,7 @@ def canonicalize(n: int, rows: Rows) -> GraphClass:
     _check_rows(n, rows)
     if n == 0:
         return GraphClass(0, ())
-    chunks = _canonical_chunks(n, rows)
+    chunks, _ = _canonical_search(n, rows)
     out = [0] * n
     for j, chunk in enumerate(chunks, start=1):
         for i in range(j):
@@ -304,11 +311,9 @@ def _vertex_triangles(n: int, rows: Rows) -> tuple[int, ...]:
     )
 
 
-def _find_isomorphism(
-    n: int, a: Rows, b: Rows, fixed: Optional[tuple[int, int]] = None
-) -> bool:
+def _find_isomorphism(n: int, a: Rows, b: Rows) -> bool:
     """Backtracking search for a bijection a -> b preserving adjacency
-    exactly, optionally with one assignment pinned."""
+    exactly; used only by the census dedup."""
     ta, tb = _vertex_triangles(n, a), _vertex_triangles(n, b)
     dega = [r.bit_count() for r in a]
     degb = [r.bit_count() for r in b]
@@ -321,8 +326,6 @@ def _find_isomorphism(
         for w in range(n):
             if used[w] or dega[v] != degb[w] or ta[v] != tb[w]:
                 continue
-            if fixed and v == fixed[0] and w != fixed[1]:
-                continue
             ok = all(
                 (a[v] >> u & 1) == (b[w] >> image[u] & 1)
                 for u in range(v)
@@ -333,11 +336,8 @@ def _find_isomorphism(
                 if place(v + 1):
                     return True
                 used[w] = False
-                image[v] = -1
         return False
 
-    if fixed and (dega[fixed[0]] != degb[fixed[1]] or ta[fixed[0]] != tb[fixed[1]]):
-        return False
     return place(0)
 
 
@@ -396,11 +396,11 @@ def triangle_count(g) -> int:
 
 
 def is_vertex_transitive(g: GraphClass) -> bool:
+    """Whether the canonical search's orbit partition is one class."""
     if g.n <= 1:
         return True
-    return all(
-        _find_isomorphism(g.n, g.rows, g.rows, fixed=(0, t)) for t in range(1, g.n)
-    )
+    _, find = _canonical_search(g.n, g.rows)
+    return len({find(v) for v in range(g.n)}) == 1
 
 
 def max_dominating_in_induced(g: GraphClass, m: int) -> int:

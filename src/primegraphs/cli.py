@@ -113,7 +113,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.only:
+    if args.only is not None:
         try:
             report = verify.Report((verify.run_one(args.only, bounds),))
         except KeyError as exc:

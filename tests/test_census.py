@@ -390,6 +390,27 @@ def test_vertex_transitivity():
     assert is_vertex_transitive(complete_class(5))
 
 
+@pytest.mark.parametrize(
+    "n, edges, transitive",
+    [
+        (0, [], True),
+        (1, [], True),
+        (4, [], True),
+        (5, [(a, b) for a in range(5) for b in range(a + 1, 5)], True),
+        (6, [(a, b) for a in range(3) for b in range(3, 6)], True),
+        (6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)], True),
+        (6, [(a, b) for a in range(6) for b in range(a + 1, 6) if b - a != 3], True),
+        (6, C5, False),
+    ],
+    ids=["K0", "K1", "empty4", "K5", "K3,3", "2K3", "K2,2,2", "C5+K1"],
+)
+def test_vertex_transitivity_from_twins(n, edges, transitive):
+    # Most of these graphs' symmetry is swaps of twins (vertices with equal
+    # neighbourhoods apart from each other), which the canonical search
+    # skips rather than searches.
+    assert is_vertex_transitive(GraphClass(n, rows_from_edges(n, edges))) == transitive
+
+
 def test_containment():
     triangle = complete_class(3)
     assert contains_subgraph(named("butterfly"), triangle)

@@ -9,16 +9,25 @@ small and a duplicated class makes it too large.
 Both sides are computed here without the census module's code: L(n, k)
 by a recursion over residual-degree multisets, and |Aut G| by
 orbit-stabilizer over a pinned backtracking search on the class's edge
-list.  Only the public `enumerate_regular` is imported.
+list.  The same pinned search is the oracle for `is_vertex_transitive`:
+a graph is vertex-transitive exactly when the orbit of vertex 0 holds
+every vertex.  Only public census names are imported.
 """
 
+import random
 from functools import lru_cache
 from itertools import combinations, permutations
 from math import comb, factorial, prod
 
 import pytest
 
-from primegraphs.census import enumerate_regular
+from primegraphs.census import (
+    GraphClass,
+    catalog,
+    enumerate_regular,
+    is_vertex_transitive,
+)
+from test_census import relabel
 
 
 def _splits(caps, total):
@@ -116,6 +125,11 @@ def automorphism_count(n, edges):
     return order
 
 
+def vertex_transitive(rows):
+    """Whether some automorphism maps vertex 0 onto each vertex."""
+    return all(_extends(list(rows), [(0, w)]) for w in range(len(rows)))
+
+
 def _brute_automorphisms(n, edges):
     es = {frozenset(e) for e in edges}
     return sum(
@@ -186,3 +200,28 @@ def test_orbit_sums_match_labeled_counts(n):
             assert factorial(n) % aut == 0, (n, k, g.edges())
             orbits += factorial(n) // aut
         assert orbits == labeled_count(n, k), (n, k, len(census))
+
+
+def test_vertex_transitivity_matches_pinned_search():
+    # Every regular class through ten vertices, and every catalog graph
+    # with its complement, each also under three seeded relabelings.
+    graphs = [
+        g for n in range(1, 11) for k in range(n) for g in enumerate_regular(n, k)
+    ]
+    for entry in catalog().values():
+        g = entry.graph
+        full = (1 << g.n) - 1
+        co = tuple(full ^ row ^ 1 << v for v, row in enumerate(g.rows))
+        graphs += [g, GraphClass(g.n, co)]
+    rng = random.Random(2014)
+    transitive = 0
+    for g in graphs:
+        expected = vertex_transitive(g.rows)
+        transitive += expected
+        assert is_vertex_transitive(g) == expected, (g.n, g.rows)
+        for _ in range(3):
+            perm = list(range(g.n))
+            rng.shuffle(perm)
+            h = GraphClass(g.n, relabel(g.n, g.rows, perm))
+            assert is_vertex_transitive(h) == expected, (g.n, h.rows)
+    assert 0 < transitive < len(graphs)

@@ -153,6 +153,8 @@ def test_verify_json(capsys):
 def test_verify_unknown_claim(capsys):
     code, _, err = run(capsys, "verify", "--only", "bogus")
     assert code == 2 and "bogus" in err
+    code, out, err = run(capsys, "verify", "--only", "")
+    assert code == 2 and out == "" and "unknown claim ''" in err
 
 
 def test_verify_rejects_bad_bounds(capsys):
