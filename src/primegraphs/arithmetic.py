@@ -4,11 +4,17 @@ Everything here is deterministic and exact for inputs up to MAX_SUPPORTED
 (unsigned 63-bit).  Larger inputs are rejected rather than silently
 mishandled.
 
-`factor` divides out the primes below _TRIAL_BOUND in turn.  Once the next
-trial prime p has p*p greater than the cofactor, every prime below p has
-been divided out, so the cofactor is 1 or prime and is recorded without a
-primality test.  Miller-Rabin and Pollard rho run only on a cofactor left
-when the trial primes run out.
+`factor` takes one of two paths, chosen by the size of n alone.  Below
+_TABLE_BOUND = 2**16 it reads _SMALLEST_FACTOR, one byte per integer: the
+smallest prime factor of a composite, 0 for 0, 1 and the primes.  Every
+composite below 2**16 has a prime factor below 256, so the table is built
+at import by marking the multiples of the primes below 256 and is exact by
+construction; dividing by the entry until it reads 0 leaves 1 or a prime.
+From 2**16 up, `factor` divides out the primes below _TRIAL_BOUND in turn.
+Once the next trial prime p has p*p greater than the cofactor, every prime
+below p has been divided out, so the cofactor is 1 or prime and is
+recorded without a primality test.  Miller-Rabin and Pollard rho run only
+on a cofactor left when the trial primes run out.
 
 The public `PrimeSet(iterable)` constructor checks every element with
 `is_prime`.  The set algebra (`|`, `&`, `-`) and `Factorization.primes`
@@ -42,6 +48,14 @@ def prime_flags(limit: int) -> bytearray:
 
 
 _SMALL_PRIMES = tuple(i for i, f in enumerate(prime_flags(_TRIAL_BOUND)) if f)
+
+# Marking the multiples of each prime below 2**8 from p*p on, the largest
+# prime first, leaves each composite below 2**16 holding its smallest factor.
+_TABLE_BOUND = 1 << 16
+_SMALLEST_FACTOR = bytearray(_TABLE_BOUND)
+for _p in reversed([p for p in _SMALL_PRIMES if p < 256]):
+    _SMALLEST_FACTOR[_p * _p :: _p] = bytes([_p]) * len(range(_p * _p, _TABLE_BOUND, _p))
+del _p
 
 # Miller-Rabin with the first 12 prime witnesses is a proven deterministic
 # primality test for all n < psi_12 ~ 3.18e23, which covers the full 63-bit
@@ -183,6 +197,15 @@ def factor(n: int) -> Factorization:
     _check_range(n)
     counts: dict[int, int] = {}
     m = n
+    if n < _TABLE_BOUND:
+        # The entries met along the way never decrease, and the prime left
+        # at the end is at least the last of them: counts is in order.
+        while p := _SMALLEST_FACTOR[m]:
+            counts[p] = counts.get(p, 0) + 1
+            m //= p
+        if m > 1:
+            counts[m] = counts.get(m, 0) + 1
+        return Factorization(n, tuple(counts.items()))
     for p in _SMALL_PRIMES:
         if p * p > m:
             # Every prime below p is divided out, so m is 1 or prime.

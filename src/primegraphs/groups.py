@@ -14,6 +14,12 @@ Suzuki Q + r + 1 and Q - r + 1.  A GroupSpec factors each of them once and
 carries the factorizations; prime sets, degree sets and the structural
 graphs read their primes from those, so no order is factored and the
 63-bit range of `factor` bounds each factor, not their product.
+
+The sweeps take their parameters from `prime_powers`, a sieve that hands
+out each prime power q = p^e as its Factorization ((p, e),), and build
+their specs through the unchecked `GroupSpec._known`, so a swept parameter
+is never factored again.  The public constructor and `GroupSpec.parse`
+factor the parameter and reject anything that is not a valid one.
 """
 
 from __future__ import annotations
@@ -106,6 +112,17 @@ class GroupSpec:
             # q = 2 gives a solvable group of order 72, not a simple group.
             raise ValueError("PSU3 parameter must be >= 3")
         object.__setattr__(self, "factorization", fq)
+
+    @classmethod
+    def _known(cls, family: Family, fq: Factorization) -> "GroupSpec":
+        """A Lie-type spec of `family` whose parameter, with factorization
+        `fq`, is already known to be valid for it, as the sweeps take it
+        from `prime_powers`: nothing is factored or checked."""
+        spec = object.__new__(cls)
+        vars(spec).update(
+            family=family, parameter=fq.value, name=None, factorization=fq
+        )
+        return spec
 
     @cached_property
     def cyclotomic_factors(self) -> tuple[Factorization, ...]:
@@ -414,13 +431,16 @@ def classify_four_prime_psl2(spec: GroupSpec) -> FourPrimeCase:
 _SIEVE_WINDOW = 1 << 18
 
 
-def prime_powers(lo: int, hi: int) -> Iterator[int]:
-    """Prime powers in [lo, hi], ascending.
+def prime_powers(lo: int, hi: int) -> Iterator[Factorization]:
+    """The prime powers q = p^e in [lo, hi], ascending, each as its
+    factorization ((p, e),).
 
     A segmented sieve, no factoring: the primes up to isqrt(hi) are sieved
     once, then [lo, hi] is sieved in windows of at most _SIEVE_WINDOW
     integers, and the higher powers of those primes that fall in a window
-    are marked back in.  Memory grows with isqrt(hi), not with hi.
+    are marked back in.  A position left marked is a prime unless it is one
+    of those powers, whose p and e are kept from when they were listed.
+    Memory grows with isqrt(hi), not with hi.
     """
     lo = max(lo, 2)
     if hi < lo:
@@ -428,11 +448,11 @@ def prime_powers(lo: int, hi: int) -> Iterator[int]:
     base = [p for p, f in enumerate(prime_flags(math.isqrt(hi))) if f]
     powers = []
     for p in base:
-        power = p * p
+        power, e = p * p, 2
         while power <= hi:
             if power >= lo:
-                powers.append(power)
-            power *= p
+                powers.append((power, p, e))
+            power, e = power * p, e + 1
     powers.sort(reverse=True)
     for start in range(lo, hi + 1, _SIEVE_WINDOW):
         size = min(_SIEVE_WINDOW, hi + 1 - start)
@@ -443,11 +463,15 @@ def prime_powers(lo: int, hi: int) -> Iterator[int]:
                 break
             first = max(p * p, -(-start // p) * p) - start
             flags[first::p] = bytes(len(range(first, size, p)))
-        while powers and powers[-1] < end:
-            flags[powers.pop() - start] = 1
+        known = {}
+        while powers and powers[-1][0] < end:
+            power, p, e = powers.pop()
+            flags[power - start] = 1
+            known[power] = ((p, e),)
         pos = flags.find(1)
         while pos >= 0:
-            yield start + pos
+            q = start + pos
+            yield Factorization(q, known.get(q) or ((q, 1),))
             pos = flags.find(1, pos + 1)
 
 
@@ -479,11 +503,11 @@ def all_specs(
         yield from emit(GroupSpec.alternating(n))
     for name in SPORADIC_NAMES:
         yield from emit(GroupSpec.sporadic(name))
-    for q in prime_powers(4, psl2_max):
-        yield from emit(GroupSpec.psl2(q))
+    for fq in prime_powers(4, psl2_max):
+        yield from emit(GroupSpec._known(Family.PSL2, fq))
     for q2 in suzuki_parameters(suzuki_max):
         yield from emit(GroupSpec.suzuki(q2))
-    for q in prime_powers(2, psl3_max):
-        yield from emit(GroupSpec.psl3(q))
-    for q in prime_powers(3, psu3_max):
-        yield from emit(GroupSpec.psu3(q))
+    for fq in prime_powers(2, psl3_max):
+        yield from emit(GroupSpec._known(Family.PSL3, fq))
+    for fq in prime_powers(3, psu3_max):
+        yield from emit(GroupSpec._known(Family.PSU3, fq))

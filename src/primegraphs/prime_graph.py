@@ -7,6 +7,12 @@ rows, so its queries are bit operations and the census predicates take it
 as it is.  Graphs can be built from a degree set, or directly from the
 known structure of each simple-group family; the two constructions are
 cross-checked in the tests.
+
+Both are unions of cliques: a degree graph is the union of one clique on
+the primes of each degree, and each of White's structural rules is a union
+of two or three cliques.  `PrimeGraph._from_cliques` builds the rows of
+such a union by OR-ing each clique's index mask into its members' rows,
+with no edge list in between.
 """
 
 from __future__ import annotations
@@ -15,7 +21,7 @@ import json
 from dataclasses import dataclass
 from itertools import combinations
 
-from .arithmetic import PrimeSet
+from .arithmetic import Factorization, PrimeSet
 from .census import (
     GraphClass,
     Rows,
@@ -51,6 +57,27 @@ class PrimeGraph:
             raise ValueError(f"{exc.args[0]} is not a vertex") from None
         object.__setattr__(self, "vertices", vs)
         object.__setattr__(self, "rows", rows_from_edges(len(vs), pairs))
+
+    @classmethod
+    def _from_cliques(cls, cliques: list) -> "PrimeGraph":
+        """The union of complete graphs on the given collections of primes,
+        which are known prime (taken from factorizations), so nothing is
+        checked.  The vertices are the union of the cliques."""
+        vs = PrimeSet._known(p for c in cliques for p in c)
+        bit = {p: 1 << i for i, p in enumerate(vs.primes)}
+        rows = dict.fromkeys(vs.primes, 0)
+        for c in cliques:
+            mask = 0
+            for p in c:
+                mask |= bit[p]
+            for p in c:
+                rows[p] |= mask
+        graph = object.__new__(cls)
+        object.__setattr__(graph, "vertices", vs)
+        object.__setattr__(
+            graph, "rows", tuple([row & ~b for row, b in zip(rows.values(), bit.values())])
+        )
+        return graph
 
     # -- basic queries ----------------------------------------------------
 
@@ -149,15 +176,14 @@ class PrimeGraph:
         return "\n".join(lines) + "\n" if lines else "\n"
 
 
+def _primes(f: Factorization) -> list[int]:
+    return [p for p, _ in f.factors]
+
+
 def graph_from_degrees(cd: DegreeSet) -> PrimeGraph:
-    """Edge p-q iff pq divides some degree; the primes come from the
-    factorizations the degree set carries."""
-    vertices, edges = set(), set()
-    for f in cd.factorizations:
-        ps = [p for p, _ in f.factors]
-        vertices.update(ps)
-        edges.update(combinations(ps, 2))
-    return PrimeGraph(PrimeSet._known(vertices), edges)
+    """Edge p-q iff pq divides some degree: one clique on the primes of each
+    degree, read from the factorizations the degree set carries."""
+    return PrimeGraph._from_cliques([_primes(f) for f in cd.factorizations])
 
 
 # The members White's rules get wrong; see structural_graph.
@@ -180,6 +206,11 @@ def structural_graph(spec: GroupSpec) -> PrimeGraph:
     odd primes are adjacent iff both divide q-1 or both divide q+1; for
     even q the primes of q-1 and of q+1 form two separate cliques.
 
+    So each rule is a union of cliques: Suzuki the odd primes and {2} with
+    the primes of Q-1; PSL3 and PSU3 all primes but p, and p with the
+    primes of its two torus factors (or one clique on all primes when
+    complete); PSL2 the primes of q, of q-1 and of q+1.
+
     The rules fail on three members, which are built from their degree
     sets instead: PSL2(5) = A5, where the rule joins 2 and 3, and PSL3(2)
     = PSL2(7) and PSL3(4), which the rule makes complete.
@@ -194,31 +225,23 @@ def structural_graph(spec: GroupSpec) -> PrimeGraph:
 
     if fam is Family.SUZUKI:
         f_q, f_minus, f_plus_r, f_minus_r = spec.cyclotomic_factors
-        odd = f_minus.primes() | f_plus_r.primes() | f_minus_r.primes()
-        edges = set(combinations(tuple(odd), 2))
-        edges.update((2, r) for r in f_minus.primes())
-        return PrimeGraph(f_q.primes() | odd, edges)  # Q is a power of 2
+        odd = _primes(f_minus) + _primes(f_plus_r) + _primes(f_minus_r)
+        return PrimeGraph._from_cliques([odd, _primes(f_q) + _primes(f_minus)])
 
     if fam is Family.PSL3 or fam is Family.PSU3:
         pi = prime_set_of_group(spec)
         f_q, f_minus, f_plus, f_cyc = spec.cyclotomic_factors
         if fam is Family.PSL3:
-            split, torus = f_minus, (f_plus, f_cyc)
+            split, torus = f_minus, f_plus.primes() | f_cyc.primes()
         else:
-            split, torus = f_plus, (f_minus, f_cyc)
+            split, torus = f_plus, f_minus.primes() | f_cyc.primes()
         if set(split.primes()) <= {2, 3}:
-            return PrimeGraph(pi, combinations(tuple(pi), 2))
+            return PrimeGraph._from_cliques([pi])
         defining = f_q.primes()
-        edges = set(combinations(tuple(pi - defining), 2))
-        edges.update((p, r) for p in defining for f in torus for r in f.primes())
-        return PrimeGraph(pi, edges)
+        return PrimeGraph._from_cliques([pi - defining, defining | torus])
 
-    # PSL2
-    _, f_minus, f_plus = spec.cyclotomic_factors
-    edges: set[tuple[int, int]] = set()
-    for side in (f_minus, f_plus):
-        edges.update(combinations(tuple(side.primes()), 2))
-    return PrimeGraph(prime_set_of_group(spec), edges)
+    # PSL2: the cliques of q, q - 1 and q + 1
+    return PrimeGraph._from_cliques([_primes(f) for f in spec.cyclotomic_factors])
 
 
 def graph_of(spec: GroupSpec) -> PrimeGraph:

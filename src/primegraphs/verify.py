@@ -30,6 +30,7 @@ from .census import (
     triangle_count,
 )
 from .groups import (
+    Family,
     FourPrimeCase,
     GroupSpec,
     all_specs,
@@ -160,10 +161,10 @@ def _check_regular_complete(b: Bounds) -> tuple[bool, str]:
 )
 def _check_structural_agreement(b: Bounds) -> tuple[bool, str]:
     count = 0
-    for q in prime_powers(4, b.psl2_max):
-        spec = GroupSpec.psl2(q)
+    for fq in prime_powers(4, b.psl2_max):
+        spec = GroupSpec._known(Family.PSL2, fq)
         if structural_graph(spec) != graph_from_degrees(character_degrees(spec)):
-            return False, f"witness: psl2 {q}"
+            return False, f"witness: {spec}"
         count += 1
     if not count:
         return _VACUOUS
@@ -183,8 +184,8 @@ def _check_pentagon_shapes(b: Bounds) -> tuple[bool, str]:
         named("pentagon-triangle"),
     }
     hits = 0
-    for q in prime_powers(4, b.psl2_max):
-        spec = GroupSpec.psl2(q)
+    for fq in prime_powers(4, b.psl2_max):
+        spec = GroupSpec._known(Family.PSL2, fq)
         if len(prime_set_of_group(spec)) != 5:
             continue
         shape = graph_of(spec).shape()
@@ -194,10 +195,13 @@ def _check_pentagon_shapes(b: Bounds) -> tuple[bool, str]:
             continue
         hits += 1
         if shape not in allowed:
-            return False, f"witness: psl2 {q} with shape edges {shape.edges()}"
+            return False, f"witness: {spec} with shape edges {shape.edges()}"
     if not hits:
         return _VACUOUS
     return True, f"{hits} matching groups, all of the three shapes"
+
+
+_THREE_PRIME_CAP = 272
 
 
 @_claim(
@@ -208,7 +212,10 @@ def _check_pentagon_shapes(b: Bounds) -> tuple[bool, str]:
 def _check_three_prime(b: Bounds) -> tuple[bool, str]:
     expected = {"a5", "a6", "psl2_7", "psl2_8", "psl2_17", "psl3_3", "psu3_3"}
     found = set()
-    for spec in all_specs(b.psl2_max, b.suzuki_max, b.psl3_max, b.psu3_max):
+    # Every Lie-type order is at least q(q^2 - 1)/2, which reaches 10**7 at
+    # q = 273, so no parameter past _THREE_PRIME_CAP can pass the filter.
+    bounds = (b.psl2_max, b.suzuki_max, b.psl3_max, b.psu3_max)
+    for spec in all_specs(*(min(m, _THREE_PRIME_CAP) for m in bounds)):
         if group_order(spec) >= 10**7:
             continue
         pi = prime_set_of_group(spec)
@@ -227,8 +234,9 @@ def _check_three_prime(b: Bounds) -> tuple[bool, str]:
 )
 def _check_four_prime(b: Bounds) -> tuple[bool, str]:
     counts = {case: 0 for case in FourPrimeCase}
-    for q in prime_powers(4, b.psl2_max):
-        spec = GroupSpec.psl2(q)
+    for fq in prime_powers(4, b.psl2_max):
+        spec = GroupSpec._known(Family.PSL2, fq)
+        q = fq.value
         pi = prime_set_of_group(spec)
         if len(pi) != 4:
             continue

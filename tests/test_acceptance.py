@@ -139,7 +139,7 @@ def test_criterion_5_pentagon_taxonomy():
         named("pentagon-triangle"),
     }
     hits = 0
-    for q in prime_powers(4, 10**4):
+    for q in (f.value for f in prime_powers(4, 10**4)):
         spec = GroupSpec.psl2(q)
         if len(prime_set_of_group(spec)) != 5:
             continue

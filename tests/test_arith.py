@@ -68,15 +68,24 @@ def _trial_factor(n):
     [
         997**2, 991 * 997, 997**3, 2 * 997**2, 997 * 1009, 1009**2,
         1009 * 1013, 1013**2, 2 * 1009**2, 10**6 - 1, 10**6, 10**6 + 1,
+        2**16 - 1, 2**16, 2**16 + 1, 251**2, 251 * 257, 257**2,
     ],
 )
 def test_factor_around_trial_bound(n):
     # 997 is the last trial prime and 1009 the next prime: these inputs sit
     # on both sides of where factor stops trusting trial division and falls
-    # back to Miller-Rabin and Pollard rho
+    # back to Miller-Rabin and Pollard rho.  2**16 is where the table of
+    # smallest factors ends, and 251 and 257 are the primes either side of
+    # 2**8, the largest smallest factor a composite in the table can have.
     f = factor(n)
     assert f.factors == _trial_factor(n)
     assert all(is_prime(p) for p, _ in f.factors)
+
+
+def test_factor_table_exhaustive():
+    # every input the smallest-factor table answers, against the reference
+    for n in range(1, 2**16):
+        assert factor(n).factors == _trial_factor(n), n
 
 
 @given(st.integers(min_value=1, max_value=4 * 1013**2))

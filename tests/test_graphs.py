@@ -1,3 +1,6 @@
+import math
+from itertools import combinations
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -6,8 +9,10 @@ from primegraphs.arithmetic import PrimeSet
 from primegraphs.census import contains_clique
 from primegraphs.groups import (
     DegreeSet,
+    Family,
     GroupSpec,
     UnsupportedFamilyError,
+    all_specs,
     character_degrees,
     degree_table,
     prime_powers,
@@ -20,6 +25,7 @@ from primegraphs.prime_graph import (
     product_graph,
     structural_graph,
 )
+from primegraphs.verify import Bounds
 
 
 def complete_on(primes):
@@ -62,6 +68,100 @@ def test_graph_from_trivial_degrees():
     assert len(g.vertices) == 0 and g.edges == ()
 
 
+_PRIMES_TO_3000 = [
+    p for p in range(2, 3001) if all(p % k for k in range(2, math.isqrt(p) + 1))
+]
+
+
+@given(st.sets(st.integers(1, 3000), max_size=6))
+@settings(max_examples=300, deadline=None)
+def test_graph_from_degrees_matches_definition(degrees):
+    # p is a vertex iff it divides some degree, and p-q an edge iff pq
+    # divides some degree, decided with % alone
+    degrees |= {1}
+    vertices = [p for p in _PRIMES_TO_3000 if any(d % p == 0 for d in degrees)]
+    edges = [
+        (p, q) for p, q in combinations(vertices, 2)
+        if any(d % (p * q) == 0 for d in degrees)
+    ]
+    g = graph_from_degrees(DegreeSet(degrees))
+    assert list(g.vertices) == vertices
+    assert list(g.edges) == edges
+    assert g == PrimeGraph(vertices, edges)  # rows too, loop-free
+
+
+def _primes_of(*values):
+    # trial division by every integer, written apart from primegraphs
+    out = set()
+    for n in values:
+        d = 2
+        while d * d <= n:
+            while n % d == 0:
+                out.add(d)
+                n //= d
+            d += 1
+        if n > 1:
+            out.add(n)
+    return out
+
+
+def _white_rule_edges(spec):
+    """The vertices and edges structural_graph's docstring gives for a
+    Lie-type spec, decided one pair at a time."""
+    fam, q = spec.family, spec.parameter
+    if fam is Family.SUZUKI:
+        r = math.isqrt(2 * q)
+        minus = _primes_of(q - 1)
+        pi = _primes_of(q, q - 1, q + r + 1, q - r + 1)
+
+        def adjacent(a, b):  # a < b
+            return a != 2 or b in minus
+    elif fam in (Family.PSL3, Family.PSU3):
+        cyc = q * q + q + 1 if fam is Family.PSL3 else q * q - q + 1
+        split = q - 1 if fam is Family.PSL3 else q + 1
+        torus = _primes_of(q + 1 if fam is Family.PSL3 else q - 1, cyc)
+        p = min(_primes_of(q))
+        pi = _primes_of(q, q - 1, q + 1, cyc)
+        complete = _primes_of(split) <= {2, 3}
+
+        def adjacent(a, b):
+            if complete or p not in (a, b):
+                return True
+            return (b if a == p else a) in torus
+    else:
+        p = min(_primes_of(q))
+        minus, plus = _primes_of(q - 1), _primes_of(q + 1)
+        pi = _primes_of(q, q - 1, q + 1)
+
+        def adjacent(a, b):
+            if p in (a, b):
+                return False
+            if q % 2 and a == 2:
+                return True
+            return {a, b} <= minus or {a, b} <= plus
+    vertices = sorted(pi)
+    return vertices, [(a, b) for a, b in combinations(vertices, 2) if adjacent(a, b)]
+
+
+def test_structural_graph_matches_rules_edge_by_edge():
+    b = Bounds()
+    checked = 0
+    for spec in all_specs(b.psl2_max, b.suzuki_max, b.psl3_max, b.psu3_max):
+        if spec.family in (Family.SPORADIC, Family.ALTERNATING):
+            continue
+        if (spec.family, spec.parameter) in (
+            (Family.PSL2, 5), (Family.PSL3, 2), (Family.PSL3, 4)
+        ):
+            continue  # the exceptions, built from their degree sets
+        vertices, edges = _white_rule_edges(spec)
+        g = structural_graph(spec)
+        assert list(g.vertices) == vertices, spec
+        assert list(g.edges) == edges, spec
+        assert g == PrimeGraph(vertices, edges), spec
+        checked += 1
+    assert checked == 1399
+
+
 def test_structural_suzuki_8():
     g = structural_graph(GroupSpec.suzuki(8))
     assert tuple(g.vertices) == (2, 5, 7, 13)
@@ -87,7 +187,7 @@ def test_structural_rejects_table_groups():
 
 
 def test_structural_agrees_with_degrees_for_psl2():
-    for q in prime_powers(4, 10**4):
+    for q in (f.value for f in prime_powers(4, 10**4)):
         spec = GroupSpec.psl2(q)
         assert structural_graph(spec) == graph_from_degrees(
             character_degrees(spec)

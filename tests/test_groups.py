@@ -83,6 +83,14 @@ def test_spec_validation():
         GroupSpec.alternating(9)
     with pytest.raises(ValueError):
         GroupSpec.sporadic("m12")
+    # the public constructor and parse factor the parameter, whatever the
+    # sweeps do with the factorizations they already hold
+    for family in ("psl2", "psl3", "psu3", "suzuki"):
+        for q in (6, 12):
+            with pytest.raises(ValueError):
+                GroupSpec(Family(family), q)
+            with pytest.raises(ValueError):
+                GroupSpec.parse(family, str(q))
 
 
 def test_spec_parse():
@@ -144,10 +152,10 @@ def test_prime_sets():
 def test_family_rule_agrees_with_order():
     b = Bounds()
     specs = (
-        [GroupSpec.psl2(q) for q in prime_powers(4, b.psl2_max)]
+        [GroupSpec.psl2(f.value) for f in prime_powers(4, b.psl2_max)]
         + [GroupSpec.suzuki(q2) for q2 in suzuki_parameters(2**31)]
-        + [GroupSpec.psl3(q) for q in prime_powers(2, b.psl3_max)]
-        + [GroupSpec.psu3(q) for q in prime_powers(3, b.psu3_max)]
+        + [GroupSpec.psl3(f.value) for f in prime_powers(2, b.psl3_max)]
+        + [GroupSpec.psu3(f.value) for f in prime_powers(3, b.psu3_max)]
     )
     beyond = 0
     for spec in specs:
@@ -174,8 +182,11 @@ def _cyclotomic_values(spec):
 
 def test_carried_factorizations_match_factor():
     # Both sides of structural-agreement read these factorizations, so they
-    # are checked here against factoring each value afresh.
-    for q in prime_powers(4, 10**4):
+    # are checked here against factoring each value afresh.  all_specs
+    # builds its PSL2, PSL3 and PSU3 specs unchecked from the factorizations
+    # prime_powers hands out; each must also be the spec the checking
+    # constructor builds.
+    for q in (f.value for f in prime_powers(4, 10**4)):
         cd = character_degrees(GroupSpec.psl2(q))
         assert cd.factorizations == tuple(factor(d) for d in cd.degrees), q
     b = Bounds()
@@ -184,6 +195,7 @@ def test_carried_factorizations_match_factor():
         if spec.family in (Family.SPORADIC, Family.ALTERNATING):
             continue
         lie += 1
+        assert spec == GroupSpec(spec.family, spec.parameter), spec
         fs = spec.cyclotomic_factors
         assert tuple(f.value for f in fs) == _cyclotomic_values(spec), spec
         assert fs == tuple(factor(f.value) for f in fs), spec
@@ -244,9 +256,9 @@ def test_factor_budget(monkeypatch):
             monkeypatch.setattr(module, "factor", counting)
     assert arithmetic.factor is counting and groups.factor is counting
     cases = (
-        [(GroupSpec.psl2, q, 3) for q in prime_powers(7, 3000) if q != 9]
-        + [(GroupSpec.psl3, q, 4) for q in prime_powers(3, 500) if q != 4]
-        + [(GroupSpec.psu3, q, 4) for q in prime_powers(3, 500)]
+        [(GroupSpec.psl2, f.value, 3) for f in prime_powers(7, 3000) if f.value != 9]
+        + [(GroupSpec.psl3, f.value, 4) for f in prime_powers(3, 500) if f.value != 4]
+        + [(GroupSpec.psu3, f.value, 4) for f in prime_powers(3, 500)]
         + [(GroupSpec.suzuki, q2, 4) for q2 in suzuki_parameters(2**61)]
     )
     for make, q, budget in cases:
@@ -260,7 +272,7 @@ def test_factor_budget(monkeypatch):
 
 def test_rho_equals_pi_for_psl2():
     # every prime of the order divides some character degree
-    for q in prime_powers(4, 10**4):
+    for q in (f.value for f in prime_powers(4, 10**4)):
         spec = GroupSpec.psl2(q)
         rho = prime_set(math.prod(character_degrees(spec)))
         assert rho.primes == prime_set_of_group(spec).primes, q
@@ -319,16 +331,17 @@ def is_prime_power(n):
 
 
 def test_prime_powers_matches_factoring(monkeypatch):
-    # the sieve against the definition, one factorization per integer
+    # the sieve against the definition, one factorization per integer; the
+    # sieve hands out factorizations, which must equal factor's
     hi_max = 3 * 10**4
-    reference = [n for n in range(2, hi_max + 1) if is_prime_power(n)]
+    reference = [f for f in map(factor, range(2, hi_max + 1)) if len(f.factors) == 1]
     his = list(range(-2, 40)) + list(range(40, hi_max + 1, 997)) + [hi_max]
     for hi in his:
         for lo in (-5, 0, 1, 2, 3, 4, 100, hi - 1, hi, hi + 1):
-            want = [n for n in reference if lo <= n <= hi]
+            want = [f for f in reference if lo <= f.value <= hi]
             assert list(prime_powers(lo, hi)) == want, (lo, hi)
     for q in (2, 4, 27, 29, 1024, 29791, 29989):  # lo == hi, a prime power
-        assert list(prime_powers(q, q)) == [q]
+        assert list(prime_powers(q, q)) == [factor(q)]
     assert list(prime_powers(30, 30)) == []
     assert list(prime_powers(10, 5)) == []
     # one window covers the sweeps, whose bounds stay below 3 * 10**4
@@ -338,14 +351,14 @@ def test_prime_powers_matches_factoring(monkeypatch):
     got = list(prime_powers(2, 3 * window + 1000))
     for edge in (2 + window, 2 + 2 * window, 2 + 3 * window):
         near = range(edge - 500, edge + 500)
-        want = [n for n in near if is_prime_power(n)]
-        assert [n for n in got if edge - 500 <= n < edge + 500] == want, edge
+        want = [factor(n) for n in near if is_prime_power(n)]
+        assert [f for f in got if edge - 500 <= f.value < edge + 500] == want, edge
     # small windows put many edges inside the reference range
     for window in (1, 2, 3, 7, 64, 1000):
         monkeypatch.setattr(groups, "_SIEVE_WINDOW", window)
         for lo, hi in [(-5, 3000), (2, 2), (3, 1000), (49, 50), (1000, 1024),
                        (1023, 2187), (2187, 2187), (2900, 3000)]:
-            want = [n for n in reference if lo <= n <= hi]
+            want = [f for f in reference if lo <= f.value <= hi]
             assert list(prime_powers(lo, hi)) == want, (window, lo, hi)
 
 
@@ -358,7 +371,7 @@ def test_prime_powers_memory_does_not_grow_with_hi():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert first == [2, 3, 4, 5, 7]
+    assert [f.value for f in first] == [2, 3, 4, 5, 7]
     assert peak < 2 * 2**20
 
 
@@ -383,7 +396,7 @@ def test_four_prime_classification():
 def test_four_prime_none_case_exists():
     residue = [
         q
-        for q in prime_powers(4, 3000)
+        for q in (f.value for f in prime_powers(4, 3000))
         if len(prime_set_of_group(GroupSpec.psl2(q))) == 4
         and classify_four_prime_psl2(GroupSpec.psl2(q)) is FourPrimeCase.NONE
     ]
