@@ -19,7 +19,11 @@ on a cofactor left when the trial primes run out.
 The public `PrimeSet(iterable)` constructor checks every element with
 `is_prime`.  The set algebra (`|`, `&`, `-`) and `Factorization.primes`
 build their results from elements that are already known prime, through
-the unchecked `PrimeSet._known`, and do not check them again.
+the unchecked `PrimeSet._known`, and do not check them again.  Likewise
+the public `Factorization(value, factors)` constructor checks that the
+factors are sorted and multiply out to value, while `factor`, the
+`groups.prime_powers` sieve and `Factorization.divide` build theirs in
+canonical form through the unchecked `Factorization._known`.
 `Factorization.divide` derives the factorization of a quotient by one
 prime by lowering its exponent, without factoring again.
 """
@@ -129,6 +133,18 @@ class Factorization:
         if prod != self.value:
             raise ValueError(f"factors do not reconstruct {self.value}")
 
+    @classmethod
+    def _known(
+        cls, value: int, factors: tuple[tuple[int, int], ...]
+    ) -> "Factorization":
+        """A Factorization already in canonical form by construction, as
+        `factor`, `divide` and the prime-power sieve build it: the
+        constructor's check is skipped."""
+        f = object.__new__(cls)
+        object.__setattr__(f, "value", value)
+        object.__setattr__(f, "factors", factors)
+        return f
+
     def primes(self) -> "PrimeSet":
         return PrimeSet._known(p for p, _ in self.factors)
 
@@ -141,7 +157,7 @@ class Factorization:
                 k -= 1
             if k:
                 factors.append((r, k))
-        return Factorization(self.value // p, tuple(factors))
+        return Factorization._known(self.value // p, tuple(factors))
 
 
 @dataclass(frozen=True)
@@ -205,7 +221,7 @@ def factor(n: int) -> Factorization:
             m //= p
         if m > 1:
             counts[m] = counts.get(m, 0) + 1
-        return Factorization(n, tuple(counts.items()))
+        return Factorization._known(n, tuple(counts.items()))
     for p in _SMALL_PRIMES:
         if p * p > m:
             # Every prime below p is divided out, so m is 1 or prime.
@@ -225,7 +241,7 @@ def factor(n: int) -> Factorization:
             d = _pollard_rho(m)
             stack.append(d)
             stack.append(m // d)
-    return Factorization(n, tuple(sorted(counts.items())))
+    return Factorization._known(n, tuple(sorted(counts.items())))
 
 
 def prime_set(n: int) -> PrimeSet:

@@ -471,7 +471,7 @@ def prime_powers(lo: int, hi: int) -> Iterator[Factorization]:
         pos = flags.find(1)
         while pos >= 0:
             q = start + pos
-            yield Factorization(q, known.get(q) or ((q, 1),))
+            yield Factorization._known(q, known.get(q) or ((q, 1),))
             pos = flags.find(1, pos + 1)
 
 

@@ -13,6 +13,7 @@ from primegraphs.arithmetic import (
     is_prime,
     prime_set,
 )
+from primegraphs.groups import prime_powers
 
 
 def test_factor_examples():
@@ -99,6 +100,21 @@ def test_factorization_validates():
         Factorization(12, ((3, 1), (2, 2)))  # unsorted
     with pytest.raises(ValueError):
         Factorization(12, ((2, 2),))  # does not reconstruct
+
+
+def test_unchecked_factorizations_pass_the_checked_constructor():
+    # factor, divide and the prime-power sieve skip the constructor's check;
+    # each result must still pass it and equal the checked value.
+    rng = random.Random(11)
+    ns = [*range(1, 3000), *(rng.randrange(2**16, 2**62) for _ in range(50))]
+    ns += [1000003 * 1000033, 2**61 - 1]
+    for n in ns:
+        f = factor(n)
+        assert Factorization(f.value, f.factors) == f, n
+        for p, _ in f.factors:
+            assert f.divide(p) == Factorization(n // p, factor(n // p).factors), (n, p)
+    for f in prime_powers(2, 5000):
+        assert Factorization(f.value, f.factors) == f
 
 
 def test_prime_set_examples():

@@ -1,6 +1,6 @@
 import hashlib
 import random
-from itertools import permutations
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given, settings
@@ -19,7 +19,6 @@ from primegraphs.census import (
     contains_induced,
     contains_subgraph,
     enumerate_regular,
-    enumerate_regular_oracle,
     is_vertex_transitive,
     max_dominating_in_induced,
     named,
@@ -243,14 +242,21 @@ def test_canonical_form_where_a_minimum_degree_root_loses():
 
 
 def searched_roots(monkeypatch, n, rows):
+    """The roots of each breadth-first search and each depth-first tie probe
+    that canonicalize(n, rows) runs, in order."""
     calls = []
-    search = census._rooted_search
+    search, probe = census._rooted_search, census._tie_probe
 
-    def counting(n, rows, roots, *rest):
+    def counting_search(n, rows, roots, *rest):
         calls.append(roots)
         return search(n, rows, roots, *rest)
 
-    monkeypatch.setattr(census, "_rooted_search", counting)
+    def counting_probe(n, rows, root, bound):
+        calls.append([root])
+        return probe(n, rows, root, bound)
+
+    monkeypatch.setattr(census, "_rooted_search", counting_search)
+    monkeypatch.setattr(census, "_tie_probe", counting_probe)
     canonicalize(n, rows)
     return calls
 
@@ -269,6 +275,31 @@ def test_found_automorphisms_skip_roots(monkeypatch, n, rows):
     # Every vertex is a root of its own (no twins) and all share one orbit:
     # without skipping, each of the n roots would be searched.
     assert len(searched_roots(monkeypatch, n, rows)) <= 2
+
+
+def test_every_tie_probe_outcome_reaches_the_brute_force_minimum(monkeypatch):
+    # Among the graphs on 5 vertices the tie probe meets all three outcomes:
+    # a tie, a root that beats the bound and a root that the bound cuts.
+    outcomes = []
+    probe = census._tie_probe
+
+    def recording(*args):
+        found = probe(*args)
+        if found is None:
+            outcomes.append("cut")
+        else:
+            outcomes.append("beats" if found is census._BEATS else "tie")
+        return found
+
+    monkeypatch.setattr(census, "_tie_probe", recording)
+    pairs = list(combinations(range(5), 2))
+    for mask in range(1 << len(pairs)):
+        rows = rows_from_edges(5, [e for b, e in enumerate(pairs) if mask >> b & 1])
+        probed = len(outcomes)
+        canonicalize(5, rows)
+        if len(outcomes) > probed:
+            assert_canonical_is_brute_force_minimum(5, rows)
+    assert set(outcomes) == {"tie", "beats", "cut"}
 
 
 @pytest.mark.parametrize(
@@ -315,13 +346,10 @@ def test_census_rejects_bad_parameters():
         enumerate_regular(11, 4)
 
 
-def test_oracle_agreement():
-    for n in range(2, 9):
-        for k in range(0, n):
-            fast = enumerate_regular(n, k)
-            slow = enumerate_regular_oracle(n, k)
-            assert fast.classes == slow.classes, (n, k)
-            assert fast.parity_ok == slow.parity_ok
+def test_oracle_agreement(oracle_cells):
+    for (n, k), (fast, slow) in oracle_cells.items():
+        assert fast.classes == slow.classes, (n, k)
+        assert fast.parity_ok == slow.parity_ok
 
 
 def partitions(n, smallest=3):
