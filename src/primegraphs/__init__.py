@@ -14,7 +14,6 @@ from .census import (
     canonicalize,
     catalog,
     contains_clique,
-    contains_induced,
     contains_subgraph,
     enumerate_regular,
     is_vertex_transitive,

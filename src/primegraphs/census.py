@@ -429,7 +429,7 @@ def _find_isomorphism(n: int, a: Rows, b: Rows) -> bool:
     return place(0)
 
 
-def _embeds(small, big, induced: bool) -> bool:
+def _embeds(small, big) -> bool:
     a, b = small.rows, big.rows
     image = [-1] * small.n
     used = [False] * big.n
@@ -442,9 +442,7 @@ def _embeds(small, big, induced: bool) -> bool:
                 continue
             ok = True
             for u in range(v):
-                has_a = a[v] >> u & 1
-                has_b = b[w] >> image[u] & 1
-                if has_a and not has_b or (induced and has_b and not has_a):
+                if a[v] >> u & 1 and not b[w] >> image[u] & 1:
                     ok = False
                     break
             if ok:
@@ -460,12 +458,7 @@ def _embeds(small, big, induced: bool) -> bool:
 
 def contains_subgraph(g, h) -> bool:
     """h embeds into g preserving edges (non-edges of h unconstrained)."""
-    return _embeds(h, g, induced=False)
-
-
-def contains_induced(g, h) -> bool:
-    """h embeds into g preserving both edges and non-edges."""
-    return _embeds(h, g, induced=True)
+    return _embeds(h, g)
 
 
 def contains_clique(g, k: int) -> bool:
@@ -647,18 +640,12 @@ def enumerate_regular_oracle(n: int, k: int) -> Census:
 # ---------------------------------------------------------------------------
 # Named graphs transcribed from drawings.
 
-@dataclass(frozen=True)
-class NamedGraph:
-    name: str
-    graph: GraphClass
-
-
 _EXPECTED_TRIANGLES = {"quartic7-7tri": 7, "quartic7-6tri": 6, "octahedron": 8}
 
-_CATALOG: dict[str, NamedGraph] = {}
+_CATALOG: dict[str, GraphClass] = {}
 
 
-def catalog() -> dict[str, NamedGraph]:
+def catalog() -> dict[str, GraphClass]:
     if _CATALOG:
         return _CATALOG
     for line in (_DATA_DIR / "catalog.txt").read_text().splitlines():
@@ -680,9 +667,9 @@ def catalog() -> dict[str, NamedGraph]:
             raise ValueError(f"catalog graph {name} has wrong triangle count")
         if name in _CATALOG:
             raise ValueError(f"duplicate catalog name {name}")
-        _CATALOG[name] = NamedGraph(name, g)
+        _CATALOG[name] = g
     return _CATALOG
 
 
 def named(name: str) -> GraphClass:
-    return catalog()[name].graph
+    return catalog()[name]

@@ -131,12 +131,12 @@ def _cmd_catalog(args: argparse.Namespace) -> int:
         if args.name not in cat:
             print(f"error: unknown catalog graph {args.name!r}", file=sys.stderr)
             return 2
-        g = cat[args.name].graph
+        g = cat[args.name]
         edge_text = " ".join(f"{p}-{q}" for p, q in g.edges())
         print(f"{args.name}: n={g.n} edges: {edge_text}")
     else:
         for name in sorted(cat):
-            g = cat[name].graph
+            g = cat[name]
             print(f"{name}: n={g.n} m={len(g.edges())}")
     return 0
 

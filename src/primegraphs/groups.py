@@ -15,11 +15,13 @@ carries the factorizations; prime sets, degree sets and the structural
 graphs read their primes from those, so no order is factored and the
 63-bit range of `factor` bounds each factor, not their product.
 
-The sweeps take their parameters from `prime_powers`, a sieve that hands
-out each prime power q = p^e as its Factorization ((p, e),), and build
-their specs through the unchecked `GroupSpec._known`, so a swept parameter
-is never factored again.  The public constructor and `GroupSpec.parse`
-factor the parameter and reject anything that is not a valid one.
+Every sweep over a Lie family takes its specs from `family_specs`, the one
+place that knows which parameters each family has: the prime powers from
+the `prime_powers` sieve, each handed out as its Factorization ((p, e),),
+or for Suzuki the powers 2**(2m+1).  It builds the specs through the
+unchecked `GroupSpec._known`, so a swept parameter is never factored again.
+The public constructor and `GroupSpec.parse` factor the parameter and
+reject anything that is not a valid one.
 """
 
 from __future__ import annotations
@@ -27,7 +29,8 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
+from itertools import chain
 from pathlib import Path
 from typing import Iterator, Optional
 
@@ -116,8 +119,8 @@ class GroupSpec:
     @classmethod
     def _known(cls, family: Family, fq: Factorization) -> "GroupSpec":
         """A Lie-type spec of `family` whose parameter, with factorization
-        `fq`, is already known to be valid for it, as the sweeps take it
-        from `prime_powers`: nothing is factored or checked."""
+        `fq`, is already known to be valid for it, as `family_specs` lists
+        it: nothing is factored or checked."""
         spec = object.__new__(cls)
         vars(spec).update(
             family=family, parameter=fq.value, name=None, factorization=fq
@@ -359,6 +362,10 @@ def group_order(spec: GroupSpec) -> int:
 # ---------------------------------------------------------------------------
 # Character degrees.
 
+# The trivial degree of every PSL2 degree set.
+_ONE = Factorization(1, ())
+
+
 def character_degrees(spec: GroupSpec) -> DegreeSet:
     """Degree set from the PSL2 closed formula or a bundled table; an
     aliased spec takes the degrees of the group it is, so no PSL2 spec
@@ -375,7 +382,7 @@ def character_degrees(spec: GroupSpec) -> DegreeSet:
         return table.degree_set()
     q = spec.parameter
     f_q, f_minus, f_plus = spec.cyclotomic_factors
-    degrees = [Factorization(1, ()), f_minus, f_q, f_plus]
+    degrees = [_ONE, f_minus, f_q, f_plus]
     if q % 2:
         # (q + 1)/2 when q = 1 mod 4, (q - 1)/2 when q = 3 mod 4
         degrees.append((f_plus if q % 4 == 1 else f_minus).divide(2))
@@ -475,12 +482,19 @@ def prime_powers(lo: int, hi: int) -> Iterator[Factorization]:
             pos = flags.find(1, pos + 1)
 
 
-def suzuki_parameters(hi: int) -> Iterator[int]:
-    """Suzuki parameters q^2 = 2**(2m+1) <= hi, m >= 1."""
-    e = 3
-    while 2**e <= hi:
-        yield 2**e
-        e += 2
+def family_specs(family: Family, hi: int) -> Iterator[GroupSpec]:
+    """Every spec of the Lie family `family` with parameter <= hi,
+    ascending: PSL2 q >= 4, PSL3 q >= 2, PSU3 q >= 3 and Suzuki q^2 =
+    2**(2m+1) with m >= 1, the parameters the checked constructor accepts."""
+    if family is Family.SUZUKI:
+        params = [
+            Factorization._known(2**e, ((2, e),))
+            for e in range(3, max(hi, 0).bit_length(), 2)
+        ]
+    else:
+        lo = {Family.PSL2: 4, Family.PSL3: 2, Family.PSU3: 3}[family]
+        params = prime_powers(lo, hi)
+    return map(partial(GroupSpec._known, family), params)
 
 
 def all_specs(
@@ -492,22 +506,15 @@ def all_specs(
     """Every implemented spec within the given family bounds, deduplicated
     so each isomorphism class appears once."""
     seen: set[str] = set()
-
-    def emit(spec: GroupSpec) -> Iterator[GroupSpec]:
+    for spec in chain(
+        map(GroupSpec.alternating, ALTERNATING_RANGE),
+        map(GroupSpec.sporadic, SPORADIC_NAMES),
+        family_specs(Family.PSL2, psl2_max),
+        family_specs(Family.SUZUKI, suzuki_max),
+        family_specs(Family.PSL3, psl3_max),
+        family_specs(Family.PSU3, psu3_max),
+    ):
         key = canonical_key(spec)
         if key not in seen:
             seen.add(key)
             yield spec
-
-    for n in ALTERNATING_RANGE:
-        yield from emit(GroupSpec.alternating(n))
-    for name in SPORADIC_NAMES:
-        yield from emit(GroupSpec.sporadic(name))
-    for fq in prime_powers(4, psl2_max):
-        yield from emit(GroupSpec._known(Family.PSL2, fq))
-    for q2 in suzuki_parameters(suzuki_max):
-        yield from emit(GroupSpec.suzuki(q2))
-    for fq in prime_powers(2, psl3_max):
-        yield from emit(GroupSpec._known(Family.PSL3, fq))
-    for fq in prime_powers(3, psu3_max):
-        yield from emit(GroupSpec._known(Family.PSU3, fq))

@@ -39,8 +39,8 @@ from .groups import (
     character_degrees,
     classify_four_prime_psl2,
     degree_table,
+    family_specs,
     group_order,
-    prime_powers,
     prime_set_of_group,
 )
 from .prime_graph import PrimeGraph, graph_from_degrees, graph_of, product_graph, structural_graph
@@ -161,8 +161,7 @@ def _check_regular_complete(b: Bounds) -> tuple[bool, str]:
 )
 def _check_structural_agreement(b: Bounds) -> tuple[bool, str]:
     count = 0
-    for fq in prime_powers(4, b.psl2_max):
-        spec = GroupSpec._known(Family.PSL2, fq)
+    for spec in family_specs(Family.PSL2, b.psl2_max):
         if structural_graph(spec) != graph_from_degrees(character_degrees(spec)):
             return False, f"witness: {spec}"
         count += 1
@@ -184,8 +183,7 @@ def _check_pentagon_shapes(b: Bounds) -> tuple[bool, str]:
         named("pentagon-triangle"),
     }
     hits = 0
-    for fq in prime_powers(4, b.psl2_max):
-        spec = GroupSpec._known(Family.PSL2, fq)
+    for spec in family_specs(Family.PSL2, b.psl2_max):
         if len(prime_set_of_group(spec)) != 5:
             continue
         shape = graph_of(spec).shape()
@@ -234,9 +232,8 @@ def _check_three_prime(b: Bounds) -> tuple[bool, str]:
 )
 def _check_four_prime(b: Bounds) -> tuple[bool, str]:
     counts = {case: 0 for case in FourPrimeCase}
-    for fq in prime_powers(4, b.psl2_max):
-        spec = GroupSpec._known(Family.PSL2, fq)
-        q = fq.value
+    for spec in family_specs(Family.PSL2, b.psl2_max):
+        q = spec.parameter
         pi = prime_set_of_group(spec)
         if len(pi) != 4:
             continue

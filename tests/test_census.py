@@ -16,7 +16,6 @@ from primegraphs.census import (
     class_from_edges,
     complete_class,
     contains_clique,
-    contains_induced,
     contains_subgraph,
     enumerate_regular,
     is_vertex_transitive,
@@ -169,7 +168,7 @@ def test_canonical_forms_are_pinned():
             for g in enumerate_regular(n, k):
                 h.update(f"{n} {k} {g.rows}\n".encode())
     for name in sorted(catalog()):
-        g = catalog()[name].graph
+        g = catalog()[name]
         h.update(f"{name} {g.n} {g.rows}\n".encode())
     assert h.hexdigest() == PINNED_CANONICAL_SHA256
 
@@ -220,7 +219,7 @@ SYMMETRIC.update(
 
 def test_relabel_round_trip_past_brute_force_range():
     graphs = [canonicalize(n, rows) for n, rows in SYMMETRIC.values()]
-    graphs += [entry.graph for entry in catalog().values()]
+    graphs += list(catalog().values())
     graphs += [g for n in range(1, 11) for k in range(n) for g in enumerate_regular(n, k)]
     rng = random.Random(8)
     for g in graphs:
@@ -442,15 +441,12 @@ def test_vertex_transitivity_from_twins(n, edges, transitive):
 def test_containment():
     triangle = complete_class(3)
     assert contains_subgraph(named("butterfly"), triangle)
-    assert contains_induced(named("butterfly"), triangle)
     for g in enumerate_regular(7, 4):
         assert not contains_clique(g, 4)
     assert contains_subgraph(named("quartic9-k4-a"), named("k5-minus-cherry"))
-    # induced C5 inside the house (drop the roof apex's chord? no: the
-    # house is C5 plus one chord, so C5 is a subgraph but not induced)
+    # the house is C5 plus one chord, so C5 is a subgraph of it
     c5 = class_from_edges(5, C5)
     assert contains_subgraph(named("house"), c5)
-    assert not contains_induced(named("house"), c5)
 
 
 def test_k4_counts():
@@ -492,7 +488,7 @@ def test_catalog_membership():
         "k5-minus-cherry",
     }
     for name in ("quartic7-7tri", "quartic7-6tri"):
-        assert cat[name].graph in enumerate_regular(7, 4).classes
+        assert cat[name] in enumerate_regular(7, 4).classes
     assert named("octahedron") in enumerate_regular(6, 4).classes
     assert named("quartic8-k4") in enumerate_regular(8, 4).classes
     assert named("quartic9-k4-a") in enumerate_regular(9, 4).classes

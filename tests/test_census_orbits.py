@@ -208,8 +208,7 @@ def test_vertex_transitivity_matches_pinned_search():
     graphs = [
         g for n in range(1, 11) for k in range(n) for g in enumerate_regular(n, k)
     ]
-    for entry in catalog().values():
-        g = entry.graph
+    for g in catalog().values():
         full = (1 << g.n) - 1
         co = tuple(full ^ row ^ 1 << v for v, row in enumerate(g.rows))
         graphs += [g, GraphClass(g.n, co)]

@@ -15,8 +15,8 @@ from primegraphs.groups import (
     all_specs,
     character_degrees,
     degree_table,
+    family_specs,
     prime_powers,
-    suzuki_parameters,
 )
 from primegraphs.prime_graph import (
     PrimeGraph,
@@ -228,10 +228,10 @@ def test_structural_exceptions_are_built_from_degrees():
 def test_suzuki_sweep_regularity():
     # 2 is never adjacent to the large-torus primes, so no Suzuki graph is
     # regular with positive degree
-    for q2 in suzuki_parameters(2**15):
-        g = structural_graph(GroupSpec.suzuki(q2))
+    for spec in family_specs(Family.SUZUKI, 2**15):
+        g = structural_graph(spec)
         degs = set(g.degree_sequence())
-        assert len(degs) > 1 or degs == {0}, q2
+        assert len(degs) > 1 or degs == {0}, spec
 
 
 def test_product_identical_factors():

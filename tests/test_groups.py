@@ -20,10 +20,10 @@ from primegraphs.groups import (
     character_degrees,
     classify_four_prime_psl2,
     degree_table,
+    family_specs,
     group_order,
     prime_powers,
     prime_set_of_group,
-    suzuki_parameters,
 )
 from primegraphs.prime_graph import graph_of, structural_graph
 from primegraphs.verify import Bounds
@@ -153,7 +153,7 @@ def test_family_rule_agrees_with_order():
     b = Bounds()
     specs = (
         [GroupSpec.psl2(f.value) for f in prime_powers(4, b.psl2_max)]
-        + [GroupSpec.suzuki(q2) for q2 in suzuki_parameters(2**31)]
+        + list(family_specs(Family.SUZUKI, 2**31))
         + [GroupSpec.psl3(f.value) for f in prime_powers(2, b.psl3_max)]
         + [GroupSpec.psu3(f.value) for f in prime_powers(3, b.psu3_max)]
     )
@@ -183,9 +183,8 @@ def _cyclotomic_values(spec):
 def test_carried_factorizations_match_factor():
     # Both sides of structural-agreement read these factorizations, so they
     # are checked here against factoring each value afresh.  all_specs
-    # builds its PSL2, PSL3 and PSU3 specs unchecked from the factorizations
-    # prime_powers hands out; each must also be the spec the checking
-    # constructor builds.
+    # builds its Lie-type specs unchecked, through family_specs; each must
+    # also be the spec the checking constructor builds.
     for q in (f.value for f in prime_powers(4, 10**4)):
         cd = character_degrees(GroupSpec.psl2(q))
         assert cd.factorizations == tuple(factor(d) for d in cd.degrees), q
@@ -202,6 +201,49 @@ def test_carried_factorizations_match_factor():
         if spec.family is Family.SUZUKI:
             assert fs[2].value * fs[3].value == spec.parameter**2 + 1
     assert lie == 1400
+
+
+@pytest.mark.parametrize(
+    "family, hi, candidates",
+    [
+        (Family.PSL2, 3000, range(-2, 3001)),
+        (Family.PSL3, 3000, range(-2, 3001)),
+        (Family.PSU3, 3000, range(-2, 3001)),
+        (
+            Family.SUZUKI,
+            2**62,
+            [2**e for e in range(63)] + [-8, 0, 3, 12, 24, 96, 2**31 + 1, 3**20],
+        ),
+    ],
+)
+def test_family_specs_match_the_checked_constructor(family, hi, candidates):
+    # family_specs builds its specs unchecked, so it must yield exactly the
+    # parameters up to hi that the checked constructor accepts, each with
+    # the factorization that constructor makes.
+    yielded = list(family_specs(family, hi))
+    params = [s.parameter for s in yielded]
+    assert params == sorted(set(params)) and params[-1] <= hi
+    got = dict(zip(params, yielded))
+    accepted = 0
+    for q in candidates:
+        try:
+            want = GroupSpec(family, q)
+        except ValueError:
+            assert q not in got, q
+            continue
+        accepted += 1
+        assert got[q] == want and got[q].factorization == want.factorization, q
+    assert accepted == len(yielded)
+
+
+@pytest.mark.parametrize(
+    "family, smallest",
+    [(Family.PSL2, 4), (Family.PSL3, 2), (Family.PSU3, 3), (Family.SUZUKI, 8)],
+)
+def test_family_specs_below_the_smallest_parameter(family, smallest):
+    for hi in (-smallest, 0, 1, smallest - 1):
+        assert list(family_specs(family, hi)) == [], hi
+    assert [s.parameter for s in family_specs(family, smallest)] == [smallest]
 
 
 def test_degree_set_factorizations():
@@ -259,7 +301,7 @@ def test_factor_budget(monkeypatch):
         [(GroupSpec.psl2, f.value, 3) for f in prime_powers(7, 3000) if f.value != 9]
         + [(GroupSpec.psl3, f.value, 4) for f in prime_powers(3, 500) if f.value != 4]
         + [(GroupSpec.psu3, f.value, 4) for f in prime_powers(3, 500)]
-        + [(GroupSpec.suzuki, q2, 4) for q2 in suzuki_parameters(2**61)]
+        + [(GroupSpec.suzuki, s.parameter, 4) for s in family_specs(Family.SUZUKI, 2**61)]
     )
     for make, q, budget in cases:
         calls.clear()
