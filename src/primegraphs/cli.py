@@ -3,24 +3,26 @@
 Subcommands: cd, graph, order, enum, product, verify, catalog.  Exit code
 0 on success, 1 when a verification claim fails, 2 on usage errors.
 All output is deterministic for fixed arguments.
+
+Commands do not catch errors.  They raise ValueError or OverflowError for
+bad input, and KeyError for an unknown claim or catalog name; only `main`
+turns these into an `error:` line on stderr and exit code 2.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 from typing import Optional, Sequence
 
 from . import census, verify
-from .groups import GroupSpec, UnsupportedFamilyError, character_degrees, group_order
+from .groups import GroupSpec, character_degrees, group_order
 from .prime_graph import PrimeGraph, graph_of, product_graph, structural_graph
 
-
-def _spec_from_args(family: str, param: str) -> GroupSpec:
-    try:
-        return GroupSpec.parse(family, param)
-    except ValueError as exc:
-        raise SystemExit(f"error: {exc}") from exc
+# The Bounds fields that `verify` takes as flags.  The seed has none: it
+# fixes the product-join trials, so default output stays byte-stable.
+_BOUND_FLAGS = tuple(f for f in fields(verify.Bounds) if f.name != "seed")
 
 
 def _print_graph(g: PrimeGraph, fmt: str) -> None:
@@ -33,35 +35,26 @@ def _print_graph(g: PrimeGraph, fmt: str) -> None:
 
 
 def _cmd_cd(args: argparse.Namespace) -> int:
-    spec = _spec_from_args(args.family, args.param)
-    try:
-        degrees = character_degrees(spec)
-    except UnsupportedFamilyError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    degrees = character_degrees(GroupSpec.parse(args.family, args.param))
     print(" ".join(str(d) for d in degrees))
     return 0
 
 
 def _cmd_order(args: argparse.Namespace) -> int:
-    print(group_order(_spec_from_args(args.family, args.param)))
+    print(group_order(GroupSpec.parse(args.family, args.param)))
     return 0
 
 
 def _cmd_graph(args: argparse.Namespace) -> int:
-    spec = _spec_from_args(args.family, args.param)
-    try:
-        g = structural_graph(spec) if args.structural else graph_of(spec)
-    except UnsupportedFamilyError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    spec = GroupSpec.parse(args.family, args.param)
+    g = structural_graph(spec) if args.structural else graph_of(spec)
     _print_graph(g, args.format)
     return 0
 
 
 def _cmd_product(args: argparse.Namespace) -> int:
-    a = graph_of(_spec_from_args(args.family1, args.param1))
-    b = graph_of(_spec_from_args(args.family2, args.param2))
+    a = graph_of(GroupSpec.parse(args.family1, args.param1))
+    b = graph_of(GroupSpec.parse(args.family2, args.param2))
     _print_graph(product_graph(a, b), args.format)
     return 0
 
@@ -70,13 +63,8 @@ def _cmd_enum(args: argparse.Namespace) -> int:
     for flag, c in (("--require-clique", args.require_clique),
                     ("--free-of-clique", args.free_of_clique)):
         if c is not None and c < 1:
-            print(f"error: {flag} must be at least 1, got {c}", file=sys.stderr)
-            return 2
-    try:
-        result = census.enumerate_regular(args.n, args.k)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+            raise ValueError(f"{flag} must be at least 1, got {c}")
+    result = census.enumerate_regular(args.n, args.k)
     if not result.parity_ok:
         print(f"no graphs: n*k = {args.n * args.k} is odd")
         return 0
@@ -102,23 +90,9 @@ def _cmd_enum(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    try:
-        bounds = verify.Bounds(
-            psl2_max=args.psl2_max,
-            suzuki_max=args.suzuki_max,
-            psl3_max=args.psl3_max,
-            psu3_max=args.psu3_max,
-            product_trials=args.product_trials,
-        )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    bounds = verify.Bounds(**{f.name: getattr(args, f.name) for f in _BOUND_FLAGS})
     if args.only is not None:
-        try:
-            report = verify.Report((verify.run_one(args.only, bounds),))
-        except KeyError as exc:
-            print(f"error: {exc.args[0]}", file=sys.stderr)
-            return 2
+        report = verify.Report((verify.run_one(args.only, bounds),))
     else:
         report = verify.run_all(bounds)
     sys.stdout.write(report.to_json() if args.json else report.to_table())
@@ -129,8 +103,7 @@ def _cmd_catalog(args: argparse.Namespace) -> int:
     cat = census.catalog()
     if args.name is not None:
         if args.name not in cat:
-            print(f"error: unknown catalog graph {args.name!r}", file=sys.stderr)
-            return 2
+            raise KeyError(f"unknown catalog graph {args.name!r}")
         g = cat[args.name]
         edge_text = " ".join(f"{p}-{q}" for p, q in g.edges())
         print(f"{args.name}: n={g.n} edges: {edge_text}")
@@ -191,11 +164,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run the claim suite")
     p.add_argument("--only", metavar="ID")
     p.add_argument("--json", action="store_true")
-    p.add_argument("--psl2-max", type=int, default=verify.Bounds().psl2_max)
-    p.add_argument("--suzuki-max", type=int, default=verify.Bounds().suzuki_max)
-    p.add_argument("--psl3-max", type=int, default=verify.Bounds().psl3_max)
-    p.add_argument("--psu3-max", type=int, default=verify.Bounds().psu3_max)
-    p.add_argument("--product-trials", type=int, default=verify.Bounds().product_trials)
+    for f in _BOUND_FLAGS:
+        p.add_argument(f"--{f.name.replace('_', '-')}", type=int, default=f.default)
     p.set_defaults(fn=_cmd_verify)
 
     p = sub.add_parser("catalog", help="list or show the named graphs")
@@ -214,12 +184,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 0 if exc.code in (0, None) else 2
     try:
         return args.fn(args)
-    except SystemExit as exc:
-        print(exc, file=sys.stderr)
-        return 2
-    except OverflowError as exc:
+    except KeyError as exc:
+        print(f"error: {exc.args[0]}", file=sys.stderr)
+    except (ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+    return 2
 
 
 if __name__ == "__main__":

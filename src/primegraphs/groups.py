@@ -3,10 +3,11 @@
 Covers four Lie-type families (PSL2, PSL3, PSU3, Suzuki), the small
 alternating groups and a handful of sporadic groups, which together are all
 the simple groups whose degree graphs this project reasons about.  Sporadic
-and alternating degrees, and those of PSL3(4), come from plain-text tables
-in the bundled data directory; everything else is computed from closed
-formulas.  One alias map sends the small Lie-type specs that are other
-groups of the catalog (PSL2(4), PSL2(5), PSL2(9), PSL3(2)) to those groups.
+and alternating degrees, and those of PSL3(4) and Sz(8), come from
+plain-text tables in the bundled data directory, each named by the group's
+canonical key; everything else is computed from closed formulas.  One
+alias map sends the small Lie-type specs that are other groups of the
+catalog (PSL2(4), PSL2(5), PSL2(9), PSL3(2)) to those groups.
 
 Every order, degree and prime set of a Lie-type group is a product of a
 few cyclotomic factors: q, q - 1, q + 1, q^2 + q + 1, q^2 - q + 1, and for
@@ -329,14 +330,18 @@ def canonical_key(spec: GroupSpec) -> str:
         return spec.name  # type: ignore[return-value]
     if spec.family is Family.ALTERNATING:
         return f"a{spec.parameter}"
+    if spec.family is Family.SUZUKI:
+        return f"sz{spec.parameter}"
     return f"{spec.family.value}_{spec.parameter}"
+
+
+# Each bundled table is named by its group's canonical key.
+_TABLE_NAMES = frozenset(bundled_table_names())
 
 
 def _table_for(spec: GroupSpec) -> Optional[DegreeTable]:
     key = canonical_key(spec)
-    if key in ("a5", "a6", "a7", "a8", "j1", "m11", "m23", "psl3_4"):
-        return degree_table(key)
-    return None
+    return degree_table(key) if key in _TABLE_NAMES else None
 
 
 # ---------------------------------------------------------------------------
@@ -371,8 +376,8 @@ def character_degrees(spec: GroupSpec) -> DegreeSet:
     aliased spec takes the degrees of the group it is, so no PSL2 spec
     left after the alias map is table-backed.
 
-    Other PSL3/PSU3/Suzuki degree sets are not bundled; their graphs are
-    built structurally in the prime_graph module.
+    PSL3/PSU3/Suzuki degree sets other than PSL3(4) and Sz(8) are not
+    bundled; their graphs are built structurally in the prime_graph module.
     """
     spec = _ALIASES.get((spec.family, spec.parameter), spec)
     if spec.family is not Family.PSL2:

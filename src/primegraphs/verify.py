@@ -519,7 +519,11 @@ def run_one(id: str, bounds: Bounds = Bounds()) -> ReportEntry:
         raise KeyError(f"unknown claim {id!r}")
     claim = _REGISTRY[id]
     start = time.perf_counter()
-    ok, detail = claim.checker(bounds)
+    try:
+        ok, detail = claim.checker(bounds)
+    except Exception as exc:
+        # A crashing claim is a failed claim, not a usage error.
+        ok, detail = False, f"raised {exc!r}"
     elapsed = time.perf_counter() - start
     return ReportEntry(id, "pass" if ok else "fail", detail, elapsed)
 

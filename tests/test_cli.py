@@ -24,7 +24,9 @@ def test_cd_aliases_and_tables(capsys):
 
 
 def test_cd_unsupported(capsys):
-    code, _, err = run(capsys, "cd", "suzuki", "8")
+    code, out, _ = run(capsys, "cd", "suzuki", "8")  # bundled as sz8
+    assert code == 0 and out == "1 14 35 64 65 91\n"
+    code, _, err = run(capsys, "cd", "suzuki", "32")
     assert code == 2 and "suzuki" in err
 
 
@@ -198,7 +200,45 @@ def test_catalog(capsys):
     assert code == 2 and out == "" and err.startswith("error: ")
 
 
+_USAGE = "usage: primegraphs [-h] {cd,order,graph,product,enum,verify,catalog} ...\n"
+
+
+# Every path to exit 2, each with its exact stderr and an empty stdout.
+_USAGE_ERRORS = [
+    (["cd", "psl2", "6"], "error: psl2 parameter must be a prime power, got 6\n"),
+    ([], _USAGE + "primegraphs: error: the following arguments are required: command\n"),
+    (["cd", "psl3", "5"], "error: no degree set for psl3 5\n"),
+    (["cd", "foo", "3"], "error: 'foo' is not a valid Family\n"),
+    (
+        ["order", "psl2", "1180591620717411303424"],
+        "error: 1180591620717411303424 exceeds the supported 63-bit range\n",
+    ),
+    (
+        ["product", "psl2", "8", "psl3", "abc"],
+        "error: invalid literal for int() with base 10: 'abc'\n",
+    ),
+    (
+        ["graph", "alt", "5", "--structural"],
+        "error: alt 5 has no structural rule; build from its degree table\n",
+    ),
+    (["enum", "--n", "12", "--k", "4"], "error: graphs above 10 vertices are not supported\n"),
+    (
+        ["enum", "--n", "8", "--k", "4", "--require-clique", "0"],
+        "error: --require-clique must be at least 1, got 0\n",
+    ),
+    (
+        ["verify", "--psl2-max", "0", "--only", "order6-census"],
+        "error: psl2_max must be positive, got 0\n",
+    ),
+    (["verify", "--only", "bogus"], "error: unknown claim 'bogus'\n"),
+    (["catalog", "nonesuch"], "error: unknown catalog graph 'nonesuch'\n"),
+]
+
+
 def test_usage_errors(capsys):
-    assert run(capsys, "cd", "psl2", "6")[0] == 2
-    assert run(capsys, "frobnicate")[0] == 2
-    assert run(capsys)[0] == 2
+    for argv, err in _USAGE_ERRORS:
+        assert run(capsys, *argv) == (2, "", err), argv
+    # argparse words its list of choices differently across Python versions
+    code, out, err = run(capsys, "frobnicate")
+    assert code == 2 and out == "" and err.startswith(_USAGE)
+    assert "error: argument command: invalid choice: 'frobnicate'" in err

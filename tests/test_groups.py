@@ -138,9 +138,10 @@ def test_character_degrees_sporadic():
 
 
 def test_character_degrees_unsupported():
-    for spec in (GroupSpec.suzuki(8), GroupSpec.psl3(3), GroupSpec.psu3(3)):
+    for spec in (GroupSpec.suzuki(32), GroupSpec.psl3(3), GroupSpec.psu3(3)):
         with pytest.raises(UnsupportedFamilyError):
             character_degrees(spec)
+    assert character_degrees(GroupSpec.suzuki(8)) == degree_table("sz8").degree_set()
 
 
 def test_prime_sets():

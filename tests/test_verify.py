@@ -2,7 +2,9 @@ import json
 
 import pytest
 
+from primegraphs import verify
 from primegraphs.arithmetic import MAX_SUPPORTED
+from primegraphs.cli import main
 from primegraphs.verify import MAX_SIEVED_BOUND, Bounds, claim_ids, run_all, run_one
 
 SMALL = Bounds(psl2_max=500, suzuki_max=2**9, psl3_max=50, psu3_max=50,
@@ -30,6 +32,18 @@ def test_run_one_matches_run_all(small_report):
 def test_unknown_claim():
     with pytest.raises(KeyError):
         run_one("no-such-claim", SMALL)
+
+
+def test_raising_claim_fails(monkeypatch, capsys):
+    def boom(b):
+        raise ValueError("boom")
+
+    monkeypatch.setitem(verify._REGISTRY, "boom", verify.Claim("boom", "raises", boom))
+    entry = run_one("boom", SMALL)
+    assert (entry.status, entry.detail) == ("fail", "raised ValueError('boom')")
+    assert main(["verify", "--only", "boom"]) == 1
+    out = capsys.readouterr()
+    assert out.err == "" and "boom  fail  raised ValueError('boom')" in out.out
 
 
 def test_report_is_deterministic(small_report):
