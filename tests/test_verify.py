@@ -1,9 +1,11 @@
 import json
+from dataclasses import replace
 
 import pytest
 
 from primegraphs import verify
 from primegraphs.arithmetic import MAX_SUPPORTED
+from primegraphs.census import contains_clique
 from primegraphs.cli import main
 from primegraphs.verify import MAX_SIEVED_BOUND, Bounds, claim_ids, run_all, run_one
 
@@ -44,6 +46,24 @@ def test_raising_claim_fails(monkeypatch, capsys):
     assert main(["verify", "--only", "boom"]) == 1
     out = capsys.readouterr()
     assert out.err == "" and "boom  fail  raised ValueError('boom')" in out.out
+
+
+@pytest.mark.parametrize(
+    "cid, n, size", [("order8-k4-count", 8, 6), ("order9-k4-count", 9, 16)]
+)
+def test_k4_count_claims_check_the_census_size(monkeypatch, cid, n, size):
+    real = verify.enumerate_regular
+
+    def losing_a_k4_free_class(n_, k):
+        census = real(n_, k)
+        if (n_, k) != (n, 4):
+            return census
+        lost = next(g for g in census if not contains_clique(g, 4))
+        return replace(census, classes=tuple(g for g in census if g != lost))
+
+    monkeypatch.setattr(verify, "enumerate_regular", losing_a_k4_free_class)
+    entry = run_one(cid, SMALL)
+    assert (entry.status, entry.detail) == ("fail", f"census size {size - 1}")
 
 
 def test_report_is_deterministic(small_report):
