@@ -11,11 +11,16 @@ its adjacency to vertices 0..i-1 (earliest placed in the highest bit).  It
 is searched one first vertex (root) at a time.  From a root, a
 breadth-first search over partial orderings keeps, level by level, exactly
 the prefixes achieving the smallest chunk so far.  A prefix is held as
-plain integers: the mask of unplaced vertices and, per placed vertex, its
-adjacency row restricted to that mask.  One narrowing pass over those rows
-yields a prefix's smallest chunk and the vertices that reach it; twin
-vertices and prefixes with equal masks and rows (hence identical
-continuations) are collapsed to keep the frontier small.
+two integers: the mask of unplaced vertices, and the placed vertices'
+adjacency rows restricted to that mask, packed n bits per slice, the i-th
+placed vertex's row at bits n*i to n*i + n - 1.  Extending a prefix by v
+clears bit v of every slice at once, masking with 1 << v times the sum of
+the slices' lowest bits, and puts v's row above them; one narrowing pass
+over the slices yields a prefix's smallest chunk and the vertices that
+reach it.  Bit j of slice i is bit i (from the top) of unplaced vertex j's
+chunk, and the packing is one-to-one, so two prefixes with equal keys have
+equal chunk maps and identical continuations.  Such prefixes and twin
+vertices are collapsed to keep the frontier small.
 
 Across roots, four rules keep the result the lex-min form while searching
 few of them:
@@ -77,7 +82,8 @@ from dataclasses import dataclass
 from functools import cache
 from itertools import combinations
 from pathlib import Path
-from typing import Callable, Iterator, Optional
+from types import MappingProxyType
+from typing import Callable, Iterator, Mapping, Optional
 
 MAX_VERTICES = 10
 
@@ -148,14 +154,27 @@ class GraphClass:
         return all(row.bit_count() == k for row in self.rows)
 
 
-def _narrow(unplaced: int, slices: tuple[int, ...]) -> tuple[int, int]:
+@cache
+def _layout(n: int) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+    """The packed-prefix tables for n vertices, by level L (vertices
+    placed): rep[L] sets bit 0 of each of the first L slices, and
+    shifts[L] holds their offsets."""
+    rep, shifts = [0], [()]
+    for i in range(n):
+        rep.append(rep[-1] | 1 << n * i)
+        shifts.append((*shifts[-1], n * i))
+    return tuple(rep), tuple(shifts)
+
+
+def _narrow(unplaced: int, packed: int, shifts: tuple[int, ...]) -> tuple[int, int]:
     """A prefix's smallest next chunk, and the mask of the vertices that
     reach it: at each slice keep the candidates not adjacent to that placed
-    vertex, if any."""
+    vertex, if any.  A shifted `packed` keeps the later slices above bit n;
+    they need no mask, as the candidates lie below it."""
     cand = unplaced
     chunk = 0
-    for s in slices:
-        nonadj = cand & ~s
+    for shift in shifts:
+        nonadj = cand & ~(packed >> shift)
         if nonadj:
             cand = nonadj
             chunk <<= 1
@@ -165,15 +184,16 @@ def _narrow(unplaced: int, slices: tuple[int, ...]) -> tuple[int, int]:
 
 
 def _extensions(
-    rows: Rows, unplaced: int, slices: tuple[int, ...], cand: int
-) -> list[tuple[int, tuple[int, tuple[int, ...]]]]:
+    rows: Rows, unplaced: int, packed: int, cand: int, rep: int, top: int
+) -> list[tuple[int, tuple[int, int]]]:
     """(vertex, key of the extended prefix) for one candidate per twin class
     (identical adjacency to the other unplaced vertices, ignoring the pair
-    itself), the lowest-indexed first."""
+    itself), the lowest-indexed first.  `rep` sets bit 0 of every placed
+    slice, and the new slice goes at bit `top`."""
     if not cand & (cand - 1):  # a single candidate, the usual case
         rest = unplaced ^ cand
         v = cand.bit_length() - 1
-        return [(v, (rest, (*[s & rest for s in slices], rows[v] & rest)))]
+        return [(v, (rest, packed & ~(cand * rep) | (rows[v] & rest) << top))]
     out = []
     closed_seen: set[int] = set()
     open_seen: set[int] = set()
@@ -188,7 +208,7 @@ def _extensions(
         closed_seen.add(closed)
         open_seen.add(open_)
         rest = unplaced ^ low
-        out.append((v, (rest, (*[s & rest for s in slices], open_ & rest))))
+        out.append((v, (rest, packed & ~(low * rep) | (open_ & rest) << top)))
     return out
 
 
@@ -207,28 +227,31 @@ def _rooted_search(
     so extending a prefix is O(1).  Two prefixes that merge are handed to
     `unite`.
     """
-    # A frontier entry maps (unplaced, slices) to its link: the mask of
-    # unplaced vertices and, for each placed vertex in placement order, its
-    # adjacency row restricted to the unplaced ones.  Bit j of slice i is
-    # bit i (from the top) of vertex j's chunk, so equal keys mean equal
-    # chunk maps, and such prefixes merge: their continuations are the same.
+    # A frontier entry maps (unplaced, packed) to its link: the mask of
+    # unplaced vertices and, for the i-th placed vertex, its adjacency row
+    # restricted to the unplaced ones at bits n*i to n*i + n - 1 of packed.
+    # Bit j of slice i is bit i (from the top) of vertex j's chunk, and the
+    # packing is one-to-one, so equal keys mean equal chunk maps, and such
+    # prefixes merge: their continuations are the same.
     full = (1 << n) - 1
-    frontier: dict[tuple[int, tuple[int, ...]], tuple] = {}
+    rep, shifts = _layout(n)
+    frontier: dict[tuple[int, int], tuple] = {}
     for v in roots:
         rest = full ^ 1 << v
-        frontier[(rest, (rows[v] & rest,))] = (None, v)
+        frontier[(rest, rows[v] & rest)] = (None, v)
     chunks_out: list[int] = []
     tied = bound is not None
     for level in range(1, n):
         best = -1
-        reached: list[tuple[int, tuple[int, ...], int, tuple]] = []
-        for (unplaced, slices), link in frontier.items():
-            chunk, cand = _narrow(unplaced, slices)
+        reached: list[tuple[int, int, int, tuple]] = []
+        placed = shifts[level]
+        for (unplaced, packed), link in frontier.items():
+            chunk, cand = _narrow(unplaced, packed, placed)
             if chunk == best:
-                reached.append((unplaced, slices, cand, link))
+                reached.append((unplaced, packed, cand, link))
             elif chunk < best or best < 0:
                 best = chunk
-                reached = [(unplaced, slices, cand, link)]
+                reached = [(unplaced, packed, cand, link)]
         if tied:
             if best > bound[level - 1]:
                 return None
@@ -239,9 +262,10 @@ def _rooted_search(
             return tuple(chunks_out), [
                 (link, cand.bit_length() - 1) for _, _, cand, link in reached
             ]
-        nxt: dict[tuple[int, tuple[int, ...]], tuple] = {}
-        for unplaced, slices, cand, link in reached:
-            for v, key in _extensions(rows, unplaced, slices, cand):
+        nxt: dict[tuple[int, int], tuple] = {}
+        top = n * level
+        for unplaced, packed, cand, link in reached:
+            for v, key in _extensions(rows, unplaced, packed, cand, rep[level], top):
                 ext = (link, v)
                 other = nxt.setdefault(key, ext)
                 if other is not ext:
@@ -262,23 +286,26 @@ def _tie_probe(
     a prefix's next chunk falls below the bound; None when every one rises
     above it.  Twins and equal prefixes are pruned as in `_rooted_search`.
     """
+    rep, shifts = _layout(n)
     rest = ((1 << n) - 1) ^ 1 << root
-    stack = [(rest, (rows[root] & rest,), (None, root))]
-    seen: set[tuple[int, tuple[int, ...]]] = set()
+    stack = [(rest, rows[root] & rest, 1, (None, root))]
+    seen: set[tuple[int, int]] = set()
     while stack:
-        unplaced, slices, link = stack.pop()
-        chunk, cand = _narrow(unplaced, slices)
-        target = bound[len(slices) - 1]
+        unplaced, packed, level, link = stack.pop()
+        chunk, cand = _narrow(unplaced, packed, shifts[level])
+        target = bound[level - 1]
         if chunk != target:
             if chunk < target:
                 return _BEATS
             continue
-        if len(slices) == n - 1:
+        if level == n - 1:
             return (link, cand.bit_length() - 1)
-        for v, key in reversed(_extensions(rows, unplaced, slices, cand)):
+        for v, key in reversed(
+            _extensions(rows, unplaced, packed, cand, rep[level], n * level)
+        ):
             if key not in seen:
                 seen.add(key)
-                stack.append((*key, (link, v)))
+                stack.append((*key, level + 1, (link, v)))
     return None
 
 
@@ -373,10 +400,13 @@ def canonicalize(n: int, rows: Rows) -> GraphClass:
     chunks, _ = _canonical_search(n, rows)
     out = [0] * n
     for j, chunk in enumerate(chunks, start=1):
-        for i in range(j):
-            if chunk >> (j - 1 - i) & 1:
-                out[i] |= 1 << j
-                out[j] |= 1 << i
+        # Bit b of vertex j's chunk is its adjacency to vertex j - 1 - b.
+        while chunk:
+            low = chunk & -chunk
+            chunk ^= low
+            i = j - low.bit_length()
+            out[i] |= 1 << j
+            out[j] |= 1 << i
     return GraphClass(n, tuple(out))
 
 
@@ -531,16 +561,20 @@ def _labeled_regular(n: int, k: int, prune: bool) -> Iterator[Rows]:
     class are kept.  Two members of a class are swapped by a transposition
     that is an automorphism of the partial graph fixing rows 0..v, so by
     induction every labeled graph is isomorphic to one that is kept.
+
+    Once row v is filled, the rest goes on only while each vertex u > v
+    short of k neighbours needs fewer edges than there are such vertices,
+    as its missing edges go to the others.  That one test is enough: no
+    degree exceeds k, since only vertices below k take an edge, and the
+    missing degrees sum to n*k - 2|E|, so their parity fails only when n*k
+    is odd, where no k-regular graph exists and nothing is yielded anyway.
     """
     rows = [0] * n
     deg = [0] * n
 
     def feasible(v: int) -> bool:
-        residual = [k - deg[u] for u in range(v, n)]
-        if sum(residual) % 2 or any(r < 0 for r in residual):
-            return False
-        positive = sum(1 for r in residual if r > 0)
-        return all(r <= positive - 1 or r == 0 for r in residual)
+        residual = [k - d for d in deg[v:] if d < k]
+        return not residual or max(residual) < len(residual)
 
     def picks(classes: list[list[int]], need: int) -> Iterator[tuple[int, ...]]:
         # Choices of `need` vertices that take a prefix of every class.
@@ -644,7 +678,8 @@ def enumerate_regular_oracle(n: int, k: int) -> Census:
 _EXPECTED_TRIANGLES = {"quartic7-7tri": 7, "quartic7-6tri": 6, "octahedron": 8}
 
 @cache
-def catalog() -> dict[str, GraphClass]:
+def catalog() -> Mapping[str, GraphClass]:
+    """The named graphs, as a read-only view: one copy serves the process."""
     graphs: dict[str, GraphClass] = {}
     for line in (_DATA_DIR / "catalog.txt").read_text().splitlines():
         line = line.strip()
@@ -666,7 +701,7 @@ def catalog() -> dict[str, GraphClass]:
         if name in graphs:
             raise ValueError(f"duplicate catalog name {name}")
         graphs[name] = g
-    return graphs
+    return MappingProxyType(graphs)
 
 
 def named(name: str) -> GraphClass:

@@ -34,7 +34,8 @@ from dataclasses import dataclass, field
 from functools import cache, cached_property, partial
 from itertools import chain
 from pathlib import Path
-from typing import Iterator, Optional
+from types import MappingProxyType
+from typing import Iterator, Mapping, Optional
 
 from .arithmetic import (
     Factorization,
@@ -287,11 +288,14 @@ def _load_table(path: Path) -> DegreeTable:
 
 
 @cache
-def _tables() -> dict[str, DegreeTable]:
-    """Every bundled degree table by name, in sorted order, loaded once.
-    The graph catalog shares the data directory and is not a table."""
+def _tables() -> Mapping[str, DegreeTable]:
+    """Every bundled degree table by name, in sorted order, loaded once, as
+    a read-only view.  The graph catalog shares the data directory and is
+    not a table."""
     paths = sorted(_DATA_DIR.glob("*.txt"), key=lambda p: p.stem)
-    return {p.stem: _load_table(p) for p in paths if p.stem != "catalog"}
+    return MappingProxyType(
+        {p.stem: _load_table(p) for p in paths if p.stem != "catalog"}
+    )
 
 
 def degree_table(name: str) -> DegreeTable:

@@ -415,6 +415,18 @@ def test_failed_catalog_load_is_not_kept(monkeypatch, tmp_path):
         catalog.cache_clear()
 
 
+def test_catalog_is_read_only():
+    house = named("house")
+    try:
+        with pytest.raises(TypeError):
+            catalog()["house"] = complete_class(5)
+        with pytest.raises(AttributeError):
+            catalog().pop("house")
+        assert named("house") == house
+    finally:
+        catalog.cache_clear()
+
+
 def test_triangle_counts():
     assert sorted(triangle_count(g) for g in enumerate_regular(7, 4)) == [6, 7]
     assert triangle_count(complete_class(5)) == 10

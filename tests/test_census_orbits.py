@@ -11,7 +11,8 @@ by a recursion over residual-degree multisets, and |Aut G| by
 orbit-stabilizer over a pinned backtracking search on the class's edge
 list.  The same pinned search is the oracle for `is_vertex_transitive`:
 a graph is vertex-transitive exactly when the orbit of vertex 0 holds
-every vertex.  Only public census names are imported.
+every vertex.  Only public census names are imported, apart from the
+labeled generator whose output the labeled count checks.
 """
 
 import random
@@ -23,6 +24,7 @@ import pytest
 
 from primegraphs.census import (
     GraphClass,
+    _labeled_regular,
     catalog,
     enumerate_regular,
     is_vertex_transitive,
@@ -66,6 +68,19 @@ def _labeled(counts):
 def labeled_count(n, k):
     """L(n, k), the number of labeled k-regular graphs on n vertices."""
     return _labeled((0,) * (k - 1) + (n,)) if k else 1
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_unpruned_generator_yields_every_labeling(n):
+    # Simple k-regular graphs, pairwise distinct and L(n, k) of them: every
+    # labeling once, and none when n*k is odd.
+    for k in range(n):
+        graphs = list(_labeled_regular(n, k, prune=False))
+        assert len(graphs) == labeled_count(n, k), (n, k)
+        assert len(set(graphs)) == len(graphs), (n, k)
+        for rows in graphs:
+            g = GraphClass(n, rows)
+            assert g.is_k_regular(k) and _adjacency(n, g.edges()) == list(rows)
 
 
 def _adjacency(n, edges):
