@@ -17,7 +17,7 @@ recorded without a primality test.  Miller-Rabin and Pollard rho run only
 on a cofactor left when the trial primes run out.
 
 The public `PrimeSet(iterable)` constructor checks every element with
-`is_prime`.  The set algebra (`|`, `&`, `-`) and `Factorization.primes`
+`is_prime`.  The set algebra (`|` and `-`) and `Factorization.primes`
 build their results from elements that are already known prime, through
 the unchecked `PrimeSet._known`, and do not check them again.  Likewise
 the public `Factorization(value, factors)` constructor checks that the
@@ -78,7 +78,7 @@ def is_prime(n: int) -> bool:
     _check_range(n)
     if n < 2:
         return False
-    for p in _SMALL_PRIMES[:12]:
+    for p in _MR_WITNESSES:
         if n % p == 0:
             return n == p
     d = n - 1
@@ -194,14 +194,8 @@ class PrimeSet:
     def __or__(self, other: "PrimeSet") -> "PrimeSet":
         return PrimeSet._known(self.primes + other.primes)
 
-    def __and__(self, other: "PrimeSet") -> "PrimeSet":
-        return PrimeSet._known(p for p in self.primes if p in other)
-
     def __sub__(self, other: "PrimeSet") -> "PrimeSet":
         return PrimeSet._known(p for p in self.primes if p not in other)
-
-    def __le__(self, other: "PrimeSet") -> bool:
-        return all(p in other for p in self.primes)
 
     def max(self) -> int:
         return max(self.primes)

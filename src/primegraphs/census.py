@@ -1,9 +1,10 @@
 """Unlabeled small graphs: canonical forms, isomorphism, and the census of
 k-regular graphs on up to ten vertices.
 
-A graph is a tuple of adjacency-row bitmasks, held canonically by a
-GraphClass or under prime labels by a prime_graph.PrimeGraph; the
-predicates here read only a graph's `n` and `rows`, so they take either.
+A graph is a tuple of adjacency-row bitmasks, one per vertex, so its size
+is len(rows); it is held canonically by a GraphClass or under prime labels
+by a prime_graph.PrimeGraph.  The predicates here read only a graph's `n`
+and `rows`, so they take either.
 
 The canonical form is the lexicographically smallest adjacency encoding
 over all vertex orderings, where vertex i contributes an i-bit chunk giving
@@ -110,16 +111,10 @@ def edges_from_rows(rows: Rows) -> tuple[tuple[int, int], ...]:
     )
 
 
-def sorted_degrees(rows: Rows) -> tuple[int, ...]:
-    """The degree sequence, largest first."""
-    return tuple(sorted((row.bit_count() for row in rows), reverse=True))
-
-
-def _check_rows(n: int, rows: Rows) -> None:
+def _check_rows(rows: Rows) -> None:
+    n = len(rows)
     if n > MAX_VERTICES:
         raise ValueError(f"graphs above {MAX_VERTICES} vertices are not supported")
-    if len(rows) != n:
-        raise ValueError("row count does not match vertex count")
     union = 0
     for row in rows:
         union |= row
@@ -141,14 +136,14 @@ def _check_rows(n: int, rows: Rows) -> None:
 class GraphClass:
     """An isomorphism class, held as its canonically labeled adjacency."""
 
-    n: int
     rows: Rows
+
+    @property
+    def n(self) -> int:
+        return len(self.rows)
 
     def edges(self) -> tuple[tuple[int, int], ...]:
         return edges_from_rows(self.rows)
-
-    def degree_sequence(self) -> tuple[int, ...]:
-        return sorted_degrees(self.rows)
 
     def is_k_regular(self, k: int) -> bool:
         return all(row.bit_count() == k for row in self.rows)
@@ -213,7 +208,6 @@ def _extensions(
 
 
 def _rooted_search(
-    n: int,
     rows: Rows,
     roots: list[int],
     bound: Optional[tuple[int, ...]],
@@ -233,6 +227,7 @@ def _rooted_search(
     # Bit j of slice i is bit i (from the top) of vertex j's chunk, and the
     # packing is one-to-one, so equal keys mean equal chunk maps, and such
     # prefixes merge: their continuations are the same.
+    n = len(rows)
     full = (1 << n) - 1
     rep, shifts = _layout(n)
     frontier: dict[tuple[int, int], tuple] = {}
@@ -278,14 +273,13 @@ def _rooted_search(
 _BEATS = "beats"
 
 
-def _tie_probe(
-    n: int, rows: Rows, root: int, bound: tuple[int, ...]
-) -> tuple | str | None:
+def _tie_probe(rows: Rows, root: int, bound: tuple[int, ...]) -> tuple | str | None:
     """Depth-first from `root`, along prefixes whose chunks equal `bound`:
     the link of the first full ordering that ties it; _BEATS as soon as such
     a prefix's next chunk falls below the bound; None when every one rises
     above it.  Twins and equal prefixes are pruned as in `_rooted_search`.
     """
+    n = len(rows)
     rep, shifts = _layout(n)
     rest = ((1 << n) - 1) ^ 1 << root
     stack = [(rest, rows[root] & rest, 1, (None, root))]
@@ -309,8 +303,9 @@ def _tie_probe(
     return None
 
 
-def _canonical_search(n: int, rows: Rows) -> tuple[tuple[int, ...], Callable]:
+def _canonical_search(rows: Rows) -> tuple[tuple[int, ...], Callable]:
     """The canonical chunks, and the find of the orbit partition."""
+    n = len(rows)
     # The roots are one vertex per twin class, as at every later level, and
     # a twin starts in its root's orbit: swapping twins is an automorphism.
     orbit = list(range(n))  # union-find parents of the orbit partition
@@ -373,13 +368,13 @@ def _canonical_search(n: int, rows: Rows) -> tuple[tuple[int, ...], Callable]:
             if united and not beaten:
                 # best is set, as only a search unites.  One ordering that
                 # ties unites the root with the best one.
-                probe = _tie_probe(n, rows, task[0], best)
+                probe = _tie_probe(rows, task[0], best)
                 if probe is None:
                     continue
                 if probe is not _BEATS:
                     unite(best_link, probe)
                     continue
-        result = _rooted_search(n, rows, task, best, unite)
+        result = _rooted_search(rows, task, best, unite)
         if result is None:
             continue
         chunks, links = result
@@ -391,14 +386,12 @@ def _canonical_search(n: int, rows: Rows) -> tuple[tuple[int, ...], Callable]:
     return best or (), find
 
 
-def canonicalize(n: int, rows: Rows) -> GraphClass:
-    """Canonical representative; isomorphic inputs give equal results and
-    the output is a fixed point."""
-    _check_rows(n, rows)
-    if n == 0:
-        return GraphClass(0, ())
-    chunks, _ = _canonical_search(n, rows)
-    out = [0] * n
+def canonicalize(rows: Rows) -> GraphClass:
+    """Canonical representative of the graph on len(rows) vertices;
+    isomorphic inputs give equal results and the output is a fixed point."""
+    _check_rows(rows)
+    chunks, _ = _canonical_search(rows)
+    out = [0] * len(rows)
     for j, chunk in enumerate(chunks, start=1):
         # Bit b of vertex j's chunk is its adjacency to vertex j - 1 - b.
         while chunk:
@@ -407,18 +400,19 @@ def canonicalize(n: int, rows: Rows) -> GraphClass:
             i = j - low.bit_length()
             out[i] |= 1 << j
             out[j] |= 1 << i
-    return GraphClass(n, tuple(out))
+    return GraphClass(tuple(out))
 
 
 def class_from_edges(n: int, edges) -> GraphClass:
-    return canonicalize(n, rows_from_edges(n, edges))
+    return canonicalize(rows_from_edges(n, edges))
 
 
 # ---------------------------------------------------------------------------
 # Isomorphism and embedding tests on labeled graphs, each taking a GraphClass
 # or a PrimeGraph (anything with `n` and `rows`).
 
-def _vertex_triangles(n: int, rows: Rows) -> tuple[int, ...]:
+def _vertex_triangles(rows: Rows) -> tuple[int, ...]:
+    n = len(rows)
     return tuple(
         sum(
             (rows[v] & rows[w]).bit_count()
@@ -430,10 +424,11 @@ def _vertex_triangles(n: int, rows: Rows) -> tuple[int, ...]:
     )
 
 
-def _find_isomorphism(n: int, a: Rows, b: Rows) -> bool:
+def _find_isomorphism(a: Rows, b: Rows) -> bool:
     """Backtracking search for a bijection a -> b preserving adjacency
     exactly; used only by the census dedup."""
-    ta, tb = _vertex_triangles(n, a), _vertex_triangles(n, b)
+    n = len(a)
+    ta, tb = _vertex_triangles(a), _vertex_triangles(b)
     dega = [r.bit_count() for r in a]
     degb = [r.bit_count() for r in b]
     image = [-1] * n
@@ -462,13 +457,14 @@ def _find_isomorphism(n: int, a: Rows, b: Rows) -> bool:
 
 def _embeds(small, big) -> bool:
     a, b = small.rows, big.rows
-    image = [-1] * small.n
-    used = [False] * big.n
+    m, n = len(a), len(b)
+    image = [-1] * m
+    used = [False] * n
 
     def place(v: int) -> bool:
-        if v == small.n:
+        if v == m:
             return True
-        for w in range(big.n):
+        for w in range(n):
             if used[w] or a[v].bit_count() > b[w].bit_count():
                 continue
             ok = True
@@ -484,7 +480,7 @@ def _embeds(small, big) -> bool:
                 used[w] = False
         return False
 
-    return small.n <= big.n and place(0)
+    return m <= n and place(0)
 
 
 def contains_subgraph(g, h) -> bool:
@@ -493,26 +489,24 @@ def contains_subgraph(g, h) -> bool:
 
 
 def contains_clique(g, k: int) -> bool:
-    if k <= 1:
-        return k <= 0 or g.n >= 1
-    return contains_subgraph(g, complete_class(k))
+    if k > g.n:  # before K_k is built: its rows take memory quadratic in k
+        return False
+    return k <= 1 or contains_subgraph(g, complete_class(k))
 
 
 def complete_class(k: int) -> GraphClass:
     full = (1 << k) - 1
-    return GraphClass(k, tuple(full ^ (1 << v) for v in range(k)))
+    return GraphClass(tuple(full ^ (1 << v) for v in range(k)))
 
 
 def triangle_count(g) -> int:
-    return sum(_vertex_triangles(g.n, g.rows)) // 3
+    return sum(_vertex_triangles(g.rows)) // 3
 
 
 def is_vertex_transitive(g: GraphClass) -> bool:
-    """Whether the canonical search's orbit partition is one class."""
-    if g.n <= 1:
-        return True
-    _, find = _canonical_search(g.n, g.rows)
-    return len({find(v) for v in range(g.n)}) == 1
+    """Whether the canonical search's orbit partition has at most one class."""
+    _, find = _canonical_search(g.rows)
+    return len({find(v) for v in range(g.n)}) <= 1
 
 
 def max_dominating_in_induced(g: GraphClass, m: int) -> int:
@@ -543,7 +537,10 @@ class Census:
     n: int
     k: int
     classes: tuple[GraphClass, ...]
-    parity_ok: bool
+
+    @property
+    def parity_ok(self) -> bool:
+        return self.n * self.k % 2 == 0
 
     def __iter__(self) -> Iterator[GraphClass]:
         return iter(self.classes)
@@ -622,14 +619,15 @@ def _labeled_regular(n: int, k: int, prune: bool) -> Iterator[Rows]:
     yield from fill(0)
 
 
-def _edge_invariant(n: int, rows: Rows) -> tuple:
+def _edge_invariant(rows: Rows) -> tuple:
+    n = len(rows)
     common = sorted(
         (rows[v] & rows[w]).bit_count()
         for v in range(n)
         for w in range(v + 1, n)
         if rows[v] >> w & 1
     )
-    return (tuple(sorted(_vertex_triangles(n, rows))), tuple(common))
+    return (tuple(sorted(_vertex_triangles(rows))), tuple(common))
 
 
 def enumerate_regular(n: int, k: int) -> Census:
@@ -648,17 +646,17 @@ def enumerate_regular(n: int, k: int) -> Census:
     if n > MAX_VERTICES:
         raise ValueError(f"graphs above {MAX_VERTICES} vertices are not supported")
     if n * k % 2:
-        return Census(n, k, (), parity_ok=False)
+        return Census(n, k, ())
     buckets: dict[tuple, list[Rows]] = {}
     for rows in _labeled_regular(n, k, prune=True):
-        inv = _edge_invariant(n, rows)
+        inv = _edge_invariant(rows)
         reps = buckets.setdefault(inv, [])
-        if not any(_find_isomorphism(n, rows, rep) for rep in reps):
+        if not any(_find_isomorphism(rows, rep) for rep in reps):
             reps.append(rows)
     classes = sorted(
-        canonicalize(n, rep) for reps in buckets.values() for rep in reps
+        canonicalize(rep) for reps in buckets.values() for rep in reps
     )
-    return Census(n, k, tuple(classes), parity_ok=True)
+    return Census(n, k, tuple(classes))
 
 
 def enumerate_regular_oracle(n: int, k: int) -> Census:
@@ -667,9 +665,9 @@ def enumerate_regular_oracle(n: int, k: int) -> Census:
     if not 0 <= k < n or n > 8:
         raise ValueError("oracle supports 0 <= k < n <= 8")
     if n * k % 2:
-        return Census(n, k, (), parity_ok=False)
-    seen = {canonicalize(n, rows) for rows in _labeled_regular(n, k, prune=False)}
-    return Census(n, k, tuple(sorted(seen)), parity_ok=True)
+        return Census(n, k, ())
+    seen = {canonicalize(rows) for rows in _labeled_regular(n, k, prune=False)}
+    return Census(n, k, tuple(sorted(seen)))
 
 
 # ---------------------------------------------------------------------------

@@ -227,9 +227,6 @@ class DegreeSet:
     def __len__(self) -> int:
         return len(self.degrees)
 
-    def __contains__(self, d: int) -> bool:
-        return d in self.degrees
-
 
 @dataclass(frozen=True)
 class DegreeTable:
@@ -492,10 +489,7 @@ def family_specs(family: Family, hi: int) -> Iterator[GroupSpec]:
 
 
 def all_specs(
-    psl2_max: int = 10**4,
-    suzuki_max: int = 2**15,
-    psl3_max: int = 200,
-    psu3_max: int = 200,
+    psl2_max: int, suzuki_max: int, psl3_max: int, psu3_max: int
 ) -> Iterator[GroupSpec]:
     """Every implemented spec within the given family bounds, deduplicated
     so each isomorphism class appears once."""

@@ -28,7 +28,6 @@ from .census import (
     canonicalize,
     edges_from_rows,
     rows_from_edges,
-    sorted_degrees,
 )
 from .groups import (
     DegreeSet,
@@ -100,7 +99,8 @@ class PrimeGraph:
         return self.rows[self.vertices.primes.index(p)].bit_count()
 
     def degree_sequence(self) -> tuple[int, ...]:
-        return sorted_degrees(self.rows)
+        """The degree sequence, largest first."""
+        return tuple(sorted((row.bit_count() for row in self.rows), reverse=True))
 
     def is_complete(self) -> bool:
         return all(row.bit_count() == self.n - 1 for row in self.rows)
@@ -152,7 +152,7 @@ class PrimeGraph:
 
     def shape(self) -> GraphClass:
         """The isomorphism class of the graph, prime labels dropped."""
-        return canonicalize(self.n, self.rows)
+        return canonicalize(self.rows)
 
     # -- serialization ----------------------------------------------------
 

@@ -14,6 +14,7 @@ import random
 import time
 from dataclasses import dataclass
 from itertools import combinations
+from math import isqrt
 from typing import Callable
 
 from .arithmetic import MAX_SUPPORTED, is_prime, prime_set
@@ -48,9 +49,17 @@ from .prime_graph import PrimeGraph, graph_from_degrees, graph_of, product_graph
 
 # The PSL2/PSL3/PSU3 sweeps sieve the primes up to the square root of their
 # bound before the first group: about 1 s and 6 MiB at 10**12, gigabytes at
-# 10**18.  Suzuki parameters are powers of 2 and need no sieve; they are
-# capped by the 63-bit range of `factor` instead.
+# 10**18.  The 63-bit range of `factor` caps the others: Suzuki parameters,
+# powers of 2 that need no sieve, and PSL3 and PSU3 parameters, as
+# q^2 + q + 1 or q^2 - q + 1 leaves that range for every prime power q
+# above isqrt(MAX_SUPPORTED).
 MAX_SIEVED_BOUND = 10**12
+_CAPS = {
+    "psl2_max": MAX_SIEVED_BOUND,
+    "suzuki_max": MAX_SUPPORTED,
+    "psl3_max": isqrt(MAX_SUPPORTED),
+    "psu3_max": isqrt(MAX_SUPPORTED),
+}
 
 
 @dataclass(frozen=True)
@@ -63,11 +72,10 @@ class Bounds:
     seed: int = 20260823
 
     def __post_init__(self) -> None:
-        for name in ("psl2_max", "suzuki_max", "psl3_max", "psu3_max"):
+        for name, cap in _CAPS.items():
             value = getattr(self, name)
             if value <= 0:
                 raise ValueError(f"{name} must be positive, got {value}")
-            cap = MAX_SUPPORTED if name == "suzuki_max" else MAX_SIEVED_BOUND
             if value > cap:
                 raise ValueError(f"{name} must be <= {cap}, got {value}")
         if self.product_trials < 0:

@@ -79,7 +79,7 @@ def test_unpruned_generator_yields_every_labeling(n):
         assert len(graphs) == labeled_count(n, k), (n, k)
         assert len(set(graphs)) == len(graphs), (n, k)
         for rows in graphs:
-            g = GraphClass(n, rows)
+            g = GraphClass(rows)
             assert g.is_k_regular(k) and _adjacency(n, g.edges()) == list(rows)
 
 
@@ -226,7 +226,7 @@ def test_vertex_transitivity_matches_pinned_search():
     for g in catalog().values():
         full = (1 << g.n) - 1
         co = tuple(full ^ row ^ 1 << v for v, row in enumerate(g.rows))
-        graphs += [g, GraphClass(g.n, co)]
+        graphs += [g, GraphClass(co)]
     rng = random.Random(2014)
     transitive = 0
     for g in graphs:
@@ -236,6 +236,6 @@ def test_vertex_transitivity_matches_pinned_search():
         for _ in range(3):
             perm = list(range(g.n))
             rng.shuffle(perm)
-            h = GraphClass(g.n, relabel(g.n, g.rows, perm))
+            h = GraphClass(relabel(g.n, g.rows, perm))
             assert is_vertex_transitive(h) == expected, (g.n, h.rows)
     assert 0 < transitive < len(graphs)

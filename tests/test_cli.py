@@ -1,5 +1,6 @@
 import json
 
+from primegraphs import census
 from primegraphs.cli import main
 from primegraphs.groups import GroupSpec, group_order
 from test_groups import assert_primes_of_order
@@ -122,6 +123,20 @@ def test_enum_rejects_clique_sizes_below_one(capsys):
     assert code == 0 and out == "0 classes of 4-regular graphs on 8 vertices\n"
 
 
+def test_enum_clique_sizes_above_n_build_no_clique(capsys, monkeypatch):
+    # K_C takes memory quadratic in C, so a clique larger than the graph is
+    # answered from the sizes alone.
+    def refuse(k):
+        raise AssertionError(f"built K_{k}")
+
+    monkeypatch.setattr(census, "complete_class", refuse)
+    assert not census.contains_clique(census.named("house"), 10**6)
+    code, out, _ = run(capsys, "enum", "--n", "8", "--k", "4", "--require-clique", "1000000")
+    assert code == 0 and out == "0 classes of 4-regular graphs on 8 vertices\n"
+    code, out, _ = run(capsys, "enum", "--n", "8", "--k", "4", "--free-of-clique", "1000000")
+    assert code == 0 and out.startswith("6 classes of 4-regular graphs on 8 vertices\n")
+
+
 def test_enum_parity(capsys):
     code, out, _ = run(capsys, "enum", "--n", "5", "--k", "3")
     assert code == 0 and "odd" in out
@@ -175,6 +190,16 @@ def test_verify_rejects_bad_bounds(capsys):
         code, out, err = run(capsys, "verify", "--only", "order6-census", *argv)
         assert code == 2 and out == "", argv
         assert err.startswith("error: ") and argv[0][2:].replace("-", "_") in err
+
+
+def test_verify_rejects_lie_bounds_past_the_factor_range(capsys):
+    # q^2 + q + 1 and q^2 - q + 1 leave the 63-bit range of factor for
+    # every prime power q above isqrt(2**63 - 1) = 3037000499.
+    for flag in ("--psl3-max", "--psu3-max"):
+        code, out, err = run(capsys, "verify", "--only", "order6-census", flag, "3037000500")
+        name = flag[2:].replace("-", "_")
+        assert (code, out) == (2, ""), flag
+        assert err == f"error: {name} must be <= 3037000499, got 3037000500\n"
 
 
 def test_verify_fails_when_nothing_checked(capsys):

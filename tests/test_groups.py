@@ -368,13 +368,15 @@ def test_aliases_take_the_degrees_of_their_group():
 
 
 def test_three_prime_sweep():
+    b = Bounds()
+    specs = list(all_specs(b.psl2_max, b.suzuki_max, b.psl3_max, b.psu3_max))
     found = {
         canonical_key(s)
-        for s in all_specs()
+        for s in specs
         if group_order(s) < 10**7 and len(prime_set_of_group(s)) == 3
     }
     assert found == {"a5", "a6", "psl2_7", "psl2_8", "psl2_17", "psl3_3", "psu3_3"}
-    for s in all_specs():
+    for s in specs:
         if group_order(s) < 10**7 and len(prime_set_of_group(s)) == 3:
             pi = prime_set_of_group(s)
             assert 2 in pi and 3 in pi

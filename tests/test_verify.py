@@ -101,6 +101,8 @@ def test_claim_ids_unique_and_stable():
     ]
     # The sieved sweeps are capped; the cap is checked before any sieve.
     + [(MAX_SIEVED_BOUND + 1, field) for field in ("psl2_max", "psl3_max", "psu3_max")]
+    # PSL3 and PSU3 are capped where q^2 +- q + 1 leaves the range of factor.
+    + [(3037000500, field) for field in ("psl3_max", "psu3_max")]
     # Suzuki parameters are capped by the 63-bit range of factor.
     + [(MAX_SUPPORTED + 1, "suzuki_max"), (10**20, "suzuki_max")],
 )
@@ -113,6 +115,8 @@ def test_bounds_accept_the_cap():
     assert Bounds(psl2_max=MAX_SIEVED_BOUND).psl2_max == MAX_SIEVED_BOUND
     assert Bounds(suzuki_max=MAX_SIEVED_BOUND + 1).suzuki_max == MAX_SIEVED_BOUND + 1
     assert Bounds(suzuki_max=MAX_SUPPORTED).suzuki_max == MAX_SUPPORTED
+    assert Bounds(psl3_max=3037000499).psl3_max == 3037000499
+    assert Bounds(psu3_max=3037000499).psu3_max == 3037000499
 
 
 def test_bounds_product_trials():
