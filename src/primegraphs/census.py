@@ -73,8 +73,10 @@ with equal adjacency to 0..v-1 form a class, and only combinations taking
 the lowest-indexed members of each class are kept.  A transposition within
 a class is an automorphism of the partial graph fixing rows 0..v, so every
 isomorphism class keeps a labeling.  The survivors are reduced to classes
-by an invariant prescreen plus explicit isomorphism tests, and each class
-is canonicalized once.
+by an invariant prescreen plus isomorphism tests, and each class is
+canonicalized once.  One embedding search decides both the isomorphism
+tests and the subgraph tests: between graphs with equal vertex and edge
+counts, an injection taking edges onto edges is an isomorphism.
 """
 
 from __future__ import annotations
@@ -408,8 +410,9 @@ def class_from_edges(n: int, edges) -> GraphClass:
 
 
 # ---------------------------------------------------------------------------
-# Isomorphism and embedding tests on labeled graphs, each taking a GraphClass
-# or a PrimeGraph (anything with `n` and `rows`).
+# Isomorphism and embedding tests on labeled graphs, both decided by one
+# search for an injection that maps edges onto edges; the embedding tests
+# take a GraphClass or a PrimeGraph (anything with `n` and `rows`).
 
 def _vertex_triangles(rows: Rows) -> tuple[int, ...]:
     n = len(rows)
@@ -424,63 +427,52 @@ def _vertex_triangles(rows: Rows) -> tuple[int, ...]:
     )
 
 
-def _find_isomorphism(a: Rows, b: Rows) -> bool:
-    """Backtracking search for a bijection a -> b preserving adjacency
-    exactly; used only by the census dedup."""
-    n = len(a)
-    ta, tb = _vertex_triangles(a), _vertex_triangles(b)
-    dega = [r.bit_count() for r in a]
-    degb = [r.bit_count() for r in b]
-    image = [-1] * n
-    used = [False] * n
+def _search(a: Rows, b: Rows) -> bool:
+    """Whether some injection of a's vertices into b's sends each vertex to
+    one of at least its degree and every edge of a onto an edge of b.
 
-    def place(v: int) -> bool:
-        if v == n:
+    Vertices of a are placed in index order.  Vertex v's candidates are one
+    mask: b's vertices whose degree fits v, less the images already used,
+    within b's row at the image of each earlier neighbour of v.
+    """
+    m = len(a)
+    degrees = [row.bit_count() for row in b]
+    fits = [
+        sum(1 << w for w, d in enumerate(degrees) if d >= row.bit_count())
+        for row in a
+    ]
+    at = [0] * m  # b's row at the image of each placed vertex
+
+    def extend(v: int, used: int) -> bool:
+        if v == m:
             return True
-        for w in range(n):
-            if used[w] or dega[v] != degb[w] or ta[v] != tb[w]:
-                continue
-            ok = all(
-                (a[v] >> u & 1) == (b[w] >> image[u] & 1)
-                for u in range(v)
-            )
-            if ok:
-                image[v] = w
-                used[w] = True
-                if place(v + 1):
-                    return True
-                used[w] = False
+        cand = fits[v] & ~used
+        earlier = a[v] & ((1 << v) - 1)
+        while earlier and cand:
+            low = earlier & -earlier
+            earlier ^= low
+            cand &= at[low.bit_length() - 1]
+        while cand:
+            low = cand & -cand
+            cand ^= low
+            at[v] = b[low.bit_length() - 1]
+            if extend(v + 1, used | low):
+                return True
         return False
 
-    return place(0)
+    return extend(0, 0)
+
+
+def _find_isomorphism(a: Rows, b: Rows) -> bool:
+    """Whether a and b are isomorphic, given equal vertex and edge counts:
+    the census dedup compares only graphs with equal `_edge_invariant`,
+    whose second component has one entry per edge.  Then a bijection
+    taking edges onto edges takes non-edges onto non-edges too."""
+    return _search(a, b)
 
 
 def _embeds(small, big) -> bool:
-    a, b = small.rows, big.rows
-    m, n = len(a), len(b)
-    image = [-1] * m
-    used = [False] * n
-
-    def place(v: int) -> bool:
-        if v == m:
-            return True
-        for w in range(n):
-            if used[w] or a[v].bit_count() > b[w].bit_count():
-                continue
-            ok = True
-            for u in range(v):
-                if a[v] >> u & 1 and not b[w] >> image[u] & 1:
-                    ok = False
-                    break
-            if ok:
-                image[v] = w
-                used[w] = True
-                if place(v + 1):
-                    return True
-                used[w] = False
-        return False
-
-    return m <= n and place(0)
+    return len(small.rows) <= len(big.rows) and _search(small.rows, big.rows)
 
 
 def contains_subgraph(g, h) -> bool:
@@ -638,7 +630,8 @@ def enumerate_regular(n: int, k: int) -> Census:
     adjacency to the rows already filled; swapping two members of a class
     is an automorphism of the partial graph, so no isomorphism class is
     lost.  They are reduced to classes by an invariant prescreen plus
-    explicit isomorphism tests; only new classes are canonicalized.
+    isomorphism tests, made by the embedding search that also answers
+    `contains_subgraph`; only new classes are canonicalized.
     Correctness is anchored by the independent, unpruned oracle below.
     """
     if not 0 <= k < n:

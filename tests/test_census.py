@@ -10,6 +10,8 @@ from primegraphs import census
 from primegraphs.census import (
     MAX_VERTICES,
     GraphClass,
+    _edge_invariant,
+    _find_isomorphism,
     _labeled_regular,
     canonicalize,
     catalog,
@@ -406,6 +408,26 @@ def test_pruned_labeled_graphs_are_regular_and_distinct():
     # The class rule keeps 417 labeled graphs over these 45 cells; pinning
     # only vertex 0's row would keep 18 351.
     assert total <= 500
+
+
+def test_isomorphism_tests_in_each_invariant_bucket_match_canonical_forms():
+    # Every pair of pruned labelings the census dedup could compare: the
+    # same cell and the same edge invariant.  Six pairs over n <= 9 are not
+    # isomorphic, the cases the invariant alone cannot settle.
+    pairs = distinct = 0
+    for n in range(1, 10):
+        for k in range(n):
+            buckets = {}
+            for rows in _labeled_regular(n, k, prune=True):
+                buckets.setdefault(_edge_invariant(rows), []).append(rows)
+            for bucket in buckets.values():
+                forms = [canonicalize(rows) for rows in bucket]
+                for i, j in combinations(range(len(bucket)), 2):
+                    same = forms[i] == forms[j]
+                    assert _find_isomorphism(bucket[i], bucket[j]) == same, (n, k)
+                    pairs += 1
+                    distinct += not same
+    assert (pairs, distinct) == (3788, 6)
 
 
 def test_failed_catalog_load_is_not_kept(monkeypatch, tmp_path):

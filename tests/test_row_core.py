@@ -7,7 +7,12 @@ from itertools import combinations, permutations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from primegraphs.census import class_from_edges, contains_subgraph
+from primegraphs.census import (
+    _find_isomorphism,
+    class_from_edges,
+    contains_subgraph,
+    rows_from_edges,
+)
 from primegraphs.prime_graph import PrimeGraph
 
 PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
@@ -63,6 +68,36 @@ def test_embedding_matches_brute_force_over_injections(big, small):
     g = PrimeGraph(PRIMES[:n], [(PRIMES[i], PRIMES[j]) for i, j in g_edges])
     h = class_from_edges(m, h_edges)
     assert contains_subgraph(g, h) == brute_embeds(n, g_edges, m, h_edges)
+
+
+@st.composite
+def equal_size_pairs(draw, max_n):
+    """(n, edges, other edges): a random graph on 0..n-1 and either a random
+    relabelling of it or an independent graph with as many edges."""
+    n, edges = draw(index_graphs(max_n))
+    if draw(st.booleans()):
+        image = draw(st.permutations(range(n)))
+        other = [(image[u], image[v]) for u, v in edges]
+    else:
+        other = draw(st.permutations(list(combinations(range(n), 2))))[: len(edges)]
+    return n, edges, other
+
+
+def brute_isomorphic(n, a_edges, b_edges):
+    a = {frozenset(e) for e in a_edges}
+    b = {frozenset(e) for e in b_edges}
+    return any(
+        {frozenset(image[v] for v in e) for e in a} == b
+        for image in permutations(range(n))
+    )
+
+
+@given(equal_size_pairs(6))
+@settings(max_examples=300, deadline=None)
+def test_isomorphism_matches_brute_force_over_permutations(case):
+    n, edges, other = case
+    found = _find_isomorphism(rows_from_edges(n, edges), rows_from_edges(n, other))
+    assert found == brute_isomorphic(n, edges, other)
 
 
 def brute_components(vs, edges):
