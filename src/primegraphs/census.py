@@ -622,8 +622,13 @@ def _edge_invariant(rows: Rows) -> tuple:
     return (tuple(sorted(_vertex_triangles(rows))), tuple(common))
 
 
+@cache
 def enumerate_regular(n: int, k: int) -> Census:
     """All isomorphism classes of k-regular graphs on n vertices.
+
+    Each (n, k) is computed once per process: later calls return the same
+    immutable Census, as `catalog()` hands out one shared view.  Bad
+    arguments raise on every call, since an exception is never cached.
 
     Labeled graphs are generated row by row, keeping at each row only the
     lowest-indexed members of every class of candidates with equal
@@ -654,7 +659,8 @@ def enumerate_regular(n: int, k: int) -> Census:
 
 def enumerate_regular_oracle(n: int, k: int) -> Census:
     """Independent cross-check: generate every labeled k-regular graph with
-    no symmetry pinning and bucket purely by canonical form."""
+    no symmetry pinning and bucket purely by canonical form.  Not cached:
+    every call is a fresh recomputation."""
     if not 0 <= k < n or n > 8:
         raise ValueError("oracle supports 0 <= k < n <= 8")
     if n * k % 2:

@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Subcommands: cd, graph, order, enum, product, verify, catalog.  Exit code
-0 on success, 1 when a verification claim fails, 2 on usage errors.
+0 on success, 1 when a verification claim fails or stdout is closed before
+the output is written, 2 on usage errors.
 All output is deterministic for fixed arguments.
 
 Commands do not catch errors.  They raise ValueError or OverflowError for
@@ -12,6 +13,7 @@ turns these into an `error:` line on stderr and exit code 2.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import fields
 from typing import Optional, Sequence
@@ -183,7 +185,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         # argparse exits with 2 on usage errors; normalize other codes too.
         return 0 if exc.code in (0, None) else 2
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader closed stdout early (`| head -1`).  Point stdout at
+        # devnull so the flush at interpreter exit cannot raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except KeyError as exc:
         print(f"error: {exc.args[0]}", file=sys.stderr)
     except (ValueError, OverflowError) as exc:

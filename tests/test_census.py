@@ -1,5 +1,6 @@
 import hashlib
 import random
+from dataclasses import FrozenInstanceError
 from itertools import combinations, permutations
 
 import pytest
@@ -352,6 +353,18 @@ def test_census_rejects_bad_parameters():
         enumerate_regular(5, 5)
     with pytest.raises(ValueError):
         enumerate_regular(11, 4)
+
+
+def test_census_is_shared_and_errors_are_not_cached():
+    # One immutable Census per (n, k) per process; a bad call raises every time.
+    census = enumerate_regular(9, 4)
+    assert enumerate_regular(9, 4) is census
+    with pytest.raises(FrozenInstanceError):
+        census.classes = ()
+    for n, k in ((5, 5), (11, 4)):
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                enumerate_regular(n, k)
 
 
 def test_oracle_agreement(oracle_cells):

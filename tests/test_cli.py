@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 from primegraphs import census
 from primegraphs.cli import main
@@ -267,3 +271,21 @@ def test_usage_errors(capsys):
     code, out, err = run(capsys, "frobnicate")
     assert code == 2 and out == "" and err.startswith(_USAGE)
     assert "error: argument command: invalid choice: 'frobnicate'" in err
+
+
+def test_closed_stdout_exits_1_quietly():
+    # A reader that stops early (`| head -1`) closes the pipe; its read end
+    # is closed before launch here, so the first write already fails.
+    src = str(Path(census.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "primegraphs.cli", "enum", "--n", "7", "--k", "4", "--stats"],
+            stdout=write_end, stderr=subprocess.PIPE, env=env,
+        )
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (1, b"")

@@ -59,10 +59,45 @@ def brute_embeds(n, g_edges, m, h_edges):
     return False
 
 
-@given(index_graphs(6), index_graphs(6))
+@st.composite
+def moved_edge_patterns(draw, max_n):
+    """(host, pattern): a random graph on 0..n-1 and the subgraph that an
+    injection of 0..m-1, m >= n - 1, induces in it, with one edge uv then
+    moved to an open pair uw where w has one neighbour fewer than v.  The
+    move keeps the pattern's degrees as a multiset, so some injection still
+    fits every degree, yet the pattern often does not embed: the search
+    must then reject every injection on adjacency alone.  Each host pair is
+    an edge with even odds, as sparse hosts mostly give patterns that
+    still embed."""
+    n = draw(st.integers(0, max_n))
+    g_edges = [e for e in combinations(range(n), 2) if draw(st.booleans())]
+    image = draw(st.permutations(range(n)))[: draw(st.integers(max(n - 1, 0), n))]
+    m = len(image)
+    host = {frozenset(e) for e in g_edges}
+    edges = [
+        (u, v) for u, v in combinations(range(m), 2)
+        if frozenset((image[u], image[v])) in host
+    ]
+    degree = [sum(x in e for e in edges) for x in range(m)]
+    moves = [
+        (e, (min(u, w), max(u, w)))
+        for e in edges
+        for u, v in (e, e[::-1])
+        for w in range(m)
+        if w not in e and degree[w] == degree[v] - 1
+        and (min(u, w), max(u, w)) not in edges
+    ]
+    if moves:
+        old, new = draw(st.sampled_from(moves))
+        edges.remove(old)
+        edges.append(new)
+    return (n, g_edges), (m, edges)
+
+
+@given(st.one_of(st.tuples(index_graphs(6), index_graphs(6)), moved_edge_patterns(6)))
 @settings(max_examples=300, deadline=None)
-def test_embedding_matches_brute_force_over_injections(big, small):
-    (n, g_edges), (m, h_edges) = big, small
+def test_embedding_matches_brute_force_over_injections(pair):
+    (n, g_edges), (m, h_edges) = pair
     # The host as a prime-labelled graph, the pattern as a class: the
     # embedding tests read only n and rows, so either type works.
     g = PrimeGraph(PRIMES[:n], [(PRIMES[i], PRIMES[j]) for i, j in g_edges])

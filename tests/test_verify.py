@@ -3,9 +3,9 @@ from dataclasses import replace
 
 import pytest
 
-from primegraphs import verify
+from primegraphs import census, verify
 from primegraphs.arithmetic import MAX_SUPPORTED
-from primegraphs.census import contains_clique
+from primegraphs.census import contains_clique, enumerate_regular
 from primegraphs.cli import main
 from primegraphs.verify import MAX_SIEVED_BOUND, Bounds, claim_ids, run_all, run_one
 
@@ -68,10 +68,31 @@ def test_k4_count_claims_check_the_census_size(monkeypatch, cid, n, size):
 
 def test_report_is_deterministic(small_report):
     a = small_report
+    enumerate_regular.cache_clear()  # else the second run only reads the cache
     b = run_all(SMALL)
     assert [(e.id, e.status, e.detail) for e in a.entries] == [
         (e.id, e.status, e.detail) for e in b.entries
     ]
+
+
+def test_run_all_generates_each_census_once(monkeypatch):
+    # Several claims share a census, (9, 4) among them: each (n, k) is
+    # generated once per process.
+    generated = []
+    labeled = census._labeled_regular
+
+    def counting(n, k, prune):
+        generated.append((n, k))
+        return labeled(n, k, prune)
+
+    monkeypatch.setattr(census, "_labeled_regular", counting)
+    enumerate_regular.cache_clear()
+    try:
+        run_all(SMALL)
+    finally:
+        enumerate_regular.cache_clear()
+    assert (9, 4) in generated
+    assert len(generated) == len(set(generated))
 
 
 def test_report_serialization(small_report):
