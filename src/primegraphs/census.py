@@ -81,6 +81,7 @@ counts, an injection taking edges onto edges is an isomorphism.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import cache
 from itertools import combinations
@@ -622,13 +623,15 @@ def _edge_invariant(rows: Rows) -> tuple:
     return (tuple(sorted(_vertex_triangles(rows))), tuple(common))
 
 
-@cache
 def enumerate_regular(n: int, k: int) -> Census:
     """All isomorphism classes of k-regular graphs on n vertices.
 
     Each (n, k) is computed once per process: later calls return the same
-    immutable Census, as `catalog()` hands out one shared view.  Bad
-    arguments raise on every call, since an exception is never cached.
+    immutable Census, as `catalog()` hands out one shared view.  The cache
+    is keyed on `operator.index` of each argument, so keyword and
+    positional calls share an entry and a float raises `TypeError` on
+    every call; other bad arguments raise on every call too, since an
+    exception is never cached.
 
     Labeled graphs are generated row by row, keeping at each row only the
     lowest-indexed members of every class of candidates with equal
@@ -639,6 +642,11 @@ def enumerate_regular(n: int, k: int) -> Census:
     `contains_subgraph`; only new classes are canonicalized.
     Correctness is anchored by the independent, unpruned oracle below.
     """
+    return _census(operator.index(n), operator.index(k))
+
+
+@cache
+def _census(n: int, k: int) -> Census:
     if not 0 <= k < n:
         raise ValueError("need 0 <= k < n")
     if n > MAX_VERTICES:

@@ -20,6 +20,7 @@ from typing import Callable
 from .arithmetic import MAX_SUPPORTED, is_prime, prime_set
 from .census import (
     GraphClass,
+    Rows,
     class_from_edges,
     complete_class,
     contains_clique,
@@ -190,14 +191,23 @@ def _check_pentagon_shapes(b: Bounds) -> tuple[bool, str]:
         named("pentagon-paw"),
         named("pentagon-triangle"),
     }
+    # The five-prime graphs repeat a handful of labeled row patterns (9
+    # patterns of 3 shapes, both at 10**4 and at 3 * 10**4), so each
+    # pattern's shape and house/butterfly verdict is decided once per call,
+    # keyed on the rows that `shape()` would canonicalize.
+    decided: dict[Rows, tuple[GraphClass, bool]] = {}
     hits = 0
     for spec in family_specs(Family.PSL2, b.psl2_max):
         if len(prime_set_of_group(spec)) != 5:
             continue
-        shape = graph_of(spec).shape()
-        if not (
-            contains_subgraph(house, shape) or contains_subgraph(butterfly, shape)
-        ):
+        g = graph_of(spec)
+        verdict = decided.get(g.rows)
+        if verdict is None:
+            shape = g.shape()
+            inside = any(contains_subgraph(h, shape) for h in (house, butterfly))
+            verdict = decided[g.rows] = shape, inside
+        shape, inside = verdict
+        if not inside:
             continue
         hits += 1
         if shape not in allowed:

@@ -367,6 +367,19 @@ def test_census_is_shared_and_errors_are_not_cached():
                 enumerate_regular(n, k)
 
 
+def test_census_cache_keys_on_integer_arguments():
+    # A float is rejected even once (9, 4) is cached, and keyword calls
+    # share the positional entry rather than computing the cell again.
+    cell = enumerate_regular(9, 4)
+    for _ in range(2):
+        with pytest.raises(TypeError):
+            enumerate_regular(9.0, 4)
+        with pytest.raises(TypeError):
+            enumerate_regular(9, 4.0)
+    assert enumerate_regular(n=9, k=4) is cell
+    assert enumerate_regular(9, k=4) is cell
+
+
 def test_oracle_agreement(oracle_cells):
     for (n, k), (fast, slow) in oracle_cells.items():
         assert fast.classes == slow.classes, (n, k)

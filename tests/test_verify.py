@@ -3,10 +3,18 @@ from dataclasses import replace
 
 import pytest
 
-from primegraphs import census, verify
+from primegraphs import census, prime_graph, verify
 from primegraphs.arithmetic import MAX_SUPPORTED
-from primegraphs.census import contains_clique, enumerate_regular
+from primegraphs.census import (
+    complete_class,
+    contains_clique,
+    contains_subgraph,
+    enumerate_regular,
+    named,
+)
 from primegraphs.cli import main
+from primegraphs.groups import Family, family_specs, prime_set_of_group
+from primegraphs.prime_graph import graph_of
 from primegraphs.verify import MAX_SIEVED_BOUND, Bounds, claim_ids, run_all, run_one
 
 SMALL = Bounds(psl2_max=500, suzuki_max=2**9, psl3_max=50, psu3_max=50,
@@ -68,7 +76,7 @@ def test_k4_count_claims_check_the_census_size(monkeypatch, cid, n, size):
 
 def test_report_is_deterministic(small_report):
     a = small_report
-    enumerate_regular.cache_clear()  # else the second run only reads the cache
+    census._census.cache_clear()  # else the second run only reads the cache
     b = run_all(SMALL)
     assert [(e.id, e.status, e.detail) for e in a.entries] == [
         (e.id, e.status, e.detail) for e in b.entries
@@ -86,13 +94,68 @@ def test_run_all_generates_each_census_once(monkeypatch):
         return labeled(n, k, prune)
 
     monkeypatch.setattr(census, "_labeled_regular", counting)
-    enumerate_regular.cache_clear()
+    census._census.cache_clear()
     try:
         run_all(SMALL)
     finally:
-        enumerate_regular.cache_clear()
+        census._census.cache_clear()
     assert (9, 4) in generated
     assert len(generated) == len(set(generated))
+
+
+def five_prime_psl2(psl2_max):
+    for spec in family_specs(Family.PSL2, psl2_max):
+        if len(prime_set_of_group(spec)) == 5:
+            yield spec
+
+
+def test_pentagon_shapes_decides_each_row_pattern_once(monkeypatch):
+    patterns = {graph_of(spec).rows for spec in five_prime_psl2(Bounds().psl2_max)}
+    census.catalog()  # loaded before counting: it canonicalizes its graphs
+    calls = {"canonicalize": 0, "_embeds": 0}
+    for name in calls:
+        original = getattr(census, name)
+
+        def counting(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+
+        for module in (census, prime_graph, verify):
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counting)
+    entry = run_one("pentagon-shapes")
+    assert entry.status == "pass", entry.detail
+    assert calls["canonicalize"] == len(patterns)
+    assert 0 < calls["_embeds"] <= 2 * len(patterns)
+
+
+def test_pentagon_shapes_witness_is_the_first_failing_parameter(monkeypatch):
+    # With the paw swapped for a graph no spec has, the claim fails at the
+    # smallest parameter whose shape is the paw inside the house or the
+    # butterfly, found here one spec at a time.
+    paw, house, butterfly = named("pentagon-paw"), named("house"), named("butterfly")
+    for spec in five_prime_psl2(Bounds().psl2_max):
+        shape = graph_of(spec).shape()
+        if shape == paw and (
+            contains_subgraph(house, shape) or contains_subgraph(butterfly, shape)
+        ):
+            break
+    decoy = complete_class(6)
+    real = verify.named
+    monkeypatch.setattr(
+        verify, "named", lambda name: decoy if name == "pentagon-paw" else real(name)
+    )
+    entry = run_one("pentagon-shapes")
+    assert str(spec).startswith("psl2 ")
+    assert (entry.status, entry.detail) == (
+        "fail",
+        f"witness: {spec} with shape edges {paw.edges()}",
+    )
+
+
+def test_pentagon_shapes_at_the_sweep_wide_bound():
+    entry = run_one("pentagon-shapes", Bounds(psl2_max=30000))
+    assert entry.detail == "531 matching groups, all of the three shapes"
 
 
 def test_report_serialization(small_report):
