@@ -13,6 +13,7 @@ turns these into an `error:` line on stderr and exit code 2.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from dataclasses import fields
@@ -121,7 +122,12 @@ def _add_spec_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("param", help="prime power q (suzuki: q^2), degree n, or name")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built on the first call and shared by every later one:
+    building it costs far more than a parse.  Each subcommand's `fn` default
+    binds its `_cmd_*` function at that first build, so replacing a `_cmd_*`
+    attribute afterwards does not reach `main`."""
     parser = argparse.ArgumentParser(
         prog="primegraphs",
         description="Degree graphs of simple group families and small "

@@ -10,9 +10,10 @@ cross-checked in the tests.
 
 Both are unions of cliques: a degree graph is the union of one clique on
 the primes of each degree, and each of White's structural rules is a union
-of two or three cliques.  `PrimeGraph._from_cliques` builds the rows of
-such a union by OR-ing each clique's index mask into its members' rows,
-with no edge list in between.
+of two or three cliques.  So `PrimeGraph(vertices, cliques)` is the one
+constructor: it ORs each clique's bit mask, less the member's own bit, into
+its members' rows, with no edge list in between, and an edge is a clique of
+two.
 """
 
 from __future__ import annotations
@@ -22,13 +23,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .arithmetic import Factorization, PrimeSet
-from .census import (
-    GraphClass,
-    Rows,
-    canonicalize,
-    edges_from_rows,
-    rows_from_edges,
-)
+from .census import GraphClass, Rows, canonicalize, edges_from_rows
 from .groups import (
     DegreeSet,
     Family,
@@ -42,41 +37,41 @@ from .groups import (
 @dataclass(frozen=True)
 class PrimeGraph:
     """Immutable simple graph on a sorted set of primes; bit j of rows[i]
-    is set iff the i-th and j-th smallest primes are adjacent."""
+    is set iff the i-th and j-th smallest primes are adjacent.
+
+    Built as the union of complete graphs on `cliques`, collections of
+    vertices that each hold a prime at most once; an edge (p, q) is a
+    clique of two, and a clique of one adds no edge."""
 
     vertices: PrimeSet
     rows: Rows
 
-    def __init__(self, vertices, edges=()) -> None:
+    def __init__(self, vertices, cliques=()) -> None:
         vs = vertices if isinstance(vertices, PrimeSet) else PrimeSet(vertices)
-        index = {p: i for i, p in enumerate(vs)}
+        bit = {p: 1 << i for i, p in enumerate(vs.primes)}
+        rows = dict.fromkeys(vs.primes, 0)
         try:
-            pairs = [(index[p], index[q]) for p, q in edges]
+            for c in cliques:
+                if len(c) == 2:
+                    # An edge, unrolled: edge lists pass thousands of these.
+                    p, q = c
+                    bp, bq = bit[p], bit[q]
+                    if bp == bq:
+                        raise ValueError(f"clique {tuple(c)} repeats a prime")
+                    rows[p] |= bq
+                    rows[q] |= bp
+                    continue
+                mask = 0
+                for p in c:
+                    mask |= bit[p]
+                if mask.bit_count() != len(c):
+                    raise ValueError(f"clique {tuple(c)} repeats a prime")
+                for p in c:
+                    rows[p] |= mask ^ bit[p]
         except KeyError as exc:
             raise ValueError(f"{exc.args[0]} is not a vertex") from None
         object.__setattr__(self, "vertices", vs)
-        object.__setattr__(self, "rows", rows_from_edges(len(vs), pairs))
-
-    @classmethod
-    def _from_cliques(cls, cliques: list) -> "PrimeGraph":
-        """The union of complete graphs on the given collections of primes,
-        which are known prime (taken from factorizations), so nothing is
-        checked.  The vertices are the union of the cliques."""
-        vs = PrimeSet._known(p for c in cliques for p in c)
-        bit = {p: 1 << i for i, p in enumerate(vs.primes)}
-        rows = dict.fromkeys(vs.primes, 0)
-        for c in cliques:
-            mask = 0
-            for p in c:
-                mask |= bit[p]
-            for p in c:
-                rows[p] |= mask
-        graph = object.__new__(cls)
-        object.__setattr__(graph, "vertices", vs)
-        object.__setattr__(
-            graph, "rows", tuple([row & ~b for row, b in zip(rows.values(), bit.values())])
-        )
-        return graph
+        object.__setattr__(self, "rows", tuple(rows.values()))
 
     # -- basic queries ----------------------------------------------------
 
@@ -183,7 +178,8 @@ def _primes(f: Factorization) -> list[int]:
 def graph_from_degrees(cd: DegreeSet) -> PrimeGraph:
     """Edge p-q iff pq divides some degree: one clique on the primes of each
     degree, read from the factorizations the degree set carries."""
-    return PrimeGraph._from_cliques([_primes(f) for f in cd.factorizations])
+    cliques = [_primes(f) for f in cd.factorizations]
+    return PrimeGraph(PrimeSet._known(p for c in cliques for p in c), cliques)
 
 
 # The members White's rules get wrong; see structural_graph.
@@ -223,25 +219,25 @@ def structural_graph(spec: GroupSpec) -> PrimeGraph:
     if (fam, q) in _RULE_EXCEPTIONS:
         return graph_from_degrees(character_degrees(spec))
 
+    pi = prime_set_of_group(spec)
     if fam is Family.SUZUKI:
         f_q, f_minus, f_plus_r, f_minus_r = spec.cyclotomic_factors
         odd = _primes(f_minus) + _primes(f_plus_r) + _primes(f_minus_r)
-        return PrimeGraph._from_cliques([odd, _primes(f_q) + _primes(f_minus)])
+        return PrimeGraph(pi, [odd, _primes(f_q) + _primes(f_minus)])
 
     if fam is Family.PSL3 or fam is Family.PSU3:
-        pi = prime_set_of_group(spec)
         f_q, f_minus, f_plus, f_cyc = spec.cyclotomic_factors
         if fam is Family.PSL3:
             split, torus = f_minus, f_plus.primes() | f_cyc.primes()
         else:
             split, torus = f_plus, f_minus.primes() | f_cyc.primes()
         if set(split.primes()) <= {2, 3}:
-            return PrimeGraph._from_cliques([pi])
+            return PrimeGraph(pi, [pi])
         defining = f_q.primes()
-        return PrimeGraph._from_cliques([pi - defining, defining | torus])
+        return PrimeGraph(pi, [pi - defining, defining | torus])
 
     # PSL2: the cliques of q, q - 1 and q + 1
-    return PrimeGraph._from_cliques([_primes(f) for f in spec.cyclotomic_factors])
+    return PrimeGraph(pi, [_primes(f) for f in spec.cyclotomic_factors])
 
 
 def graph_of(spec: GroupSpec) -> PrimeGraph:

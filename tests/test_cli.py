@@ -5,7 +5,7 @@ import sys
 from pathlib import Path
 
 from primegraphs import census
-from primegraphs.cli import main
+from primegraphs.cli import _build_parser, main
 from primegraphs.groups import GroupSpec, group_order
 from test_groups import assert_primes_of_order
 
@@ -271,6 +271,28 @@ def test_usage_errors(capsys):
     code, out, err = run(capsys, "frobnicate")
     assert code == 2 and out == "" and err.startswith(_USAGE)
     assert "error: argument command: invalid choice: 'frobnicate'" in err
+
+
+def test_parser_is_built_once():
+    _build_parser.cache_clear()
+    assert main(["order", "psl2", "4"]) == 0
+    assert main(["order", "psl2", "5"]) == 0
+    info = _build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+
+
+def test_shared_parser_keeps_usage_errors(capsys):
+    _build_parser.cache_clear()
+    first = run(capsys, "enum", "--n", "x", "--k", "4")
+    assert first[0] == 2 and "error: argument --n: invalid int value: 'x'" in first[2]
+    assert run(capsys, "cd", "psl2", "64") == (0, "1 63 64 65\n", "")
+    assert run(capsys, "enum", "--n", "x", "--k", "4") == first
+
+
+def test_help_leaves_the_parser_usable(capsys):
+    code, out, _ = run(capsys, "--help")
+    assert code == 0 and out.startswith(_USAGE)
+    assert run(capsys, "cd", "psl2", "64") == (0, "1 63 64 65\n", "")
 
 
 def test_closed_stdout_exits_1_quietly():

@@ -39,6 +39,32 @@ def test_graph_construction_validates():
     g = PrimeGraph([3, 2], [(3, 2), (2, 3)])
     assert tuple(g.vertices) == (2, 3)
     assert g.edges == ((2, 3),)
+    with pytest.raises(ValueError, match="repeats a prime"):
+        PrimeGraph([2, 3, 5], [(2, 3, 2)])
+    with pytest.raises(ValueError, match="7 is not a vertex"):
+        PrimeGraph([2, 3, 5], [(2, 3, 7)])
+
+
+def test_every_graph_is_built_through_init(monkeypatch):
+    # graph_of and structural_graph build each graph exactly once, and
+    # through the one constructor
+    calls = []
+    init = PrimeGraph.__init__
+
+    def counting(self, *args, **kwargs):
+        calls.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(PrimeGraph, "__init__", counting)
+    b = Bounds()
+    for spec in all_specs(b.psl2_max, b.suzuki_max, b.psl3_max, b.psu3_max):
+        calls.clear()
+        graph_of(spec)
+        assert len(calls) == 1, spec
+        if spec.family not in (Family.SPORADIC, Family.ALTERNATING):
+            calls.clear()
+            structural_graph(spec)
+            assert len(calls) == 1, spec
 
 
 def test_graph_from_degrees_psl2_64():

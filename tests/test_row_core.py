@@ -183,6 +183,27 @@ def test_prime_graph_queries_match_edge_list(graph):
     )
 
 
+@st.composite
+def clique_unions(draw, max_vertices=12):
+    """(vertices, cliques): a random vertex set drawn from PRIMES and random
+    cliques of 1-5 of its primes, each in a random order."""
+    vs = draw(st.lists(st.sampled_from(PRIMES), unique=True, max_size=max_vertices))
+    if not vs:
+        return vs, []
+    clique = st.lists(st.sampled_from(vs), unique=True, min_size=1, max_size=5)
+    return vs, draw(st.lists(clique.map(tuple), max_size=6))
+
+
+@given(clique_unions())
+@settings(max_examples=300, deadline=None)
+def test_prime_graph_is_the_union_of_its_cliques(graph):
+    vs, cliques = graph
+    g = PrimeGraph(vs, cliques)
+    pairs = {pair for c in cliques for pair in combinations(sorted(c), 2)}
+    assert tuple(g.vertices) == tuple(sorted(vs))
+    assert g.edges == tuple(sorted(pairs))
+
+
 @given(prime_graphs(max_vertices=10))
 @settings(max_examples=200, deadline=None)
 def test_shape_matches_own_relabelling(graph):
