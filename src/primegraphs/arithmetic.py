@@ -22,8 +22,8 @@ build their results from elements that are already known prime, through
 the unchecked `PrimeSet._known`, and do not check them again.  Likewise
 the public `Factorization(value, factors)` constructor checks that the
 factors are sorted and multiply out to value, while `factor`, the
-`groups.prime_powers` sieve, the Suzuki parameters of `groups.family_specs`
-and `Factorization.divide` build theirs in canonical form through the
+`groups.prime_powers` sieve, the Suzuki parameters on the Suzuki family
+record and `Factorization.divide` build theirs in canonical form through the
 unchecked `Factorization._known`.
 `Factorization.divide` derives the factorization of a quotient by one
 prime by lowering its exponent, without factoring again.

@@ -6,9 +6,15 @@ the simple groups whose degree graphs this project reasons about.  Sporadic
 and alternating degrees, and those of PSL3(4) and Sz(8), come from
 plain-text tables in the bundled data directory, each named by the group's
 canonical key and all loaded together on first use; everything else is
-computed from closed formulas.  One
-alias map sends the small Lie-type specs that are other groups of the
-catalog (PSL2(4), PSL2(5), PSL2(9), PSL3(2)) to those groups.
+computed from closed formulas.
+
+Everything that depends on which Lie family a group is in lives on one
+`LieFamily` record per family, in `LIE_FAMILIES`: its parameters, its
+cyclotomic factors, its order formula, its key prefix, its sweep cap,
+White's structural rule, the PSL2 degree formula, the members that are
+another group of the catalog (PSL2(4), PSL2(5), PSL2(9), PSL3(2)) and the
+members the rule gets wrong.  A Lie-type spec carries its record, so every
+family-dependent function is one attribute lookup on it.
 
 Every order, degree and prime set of a Lie-type group is a product of a
 few cyclotomic factors: q, q - 1, q + 1, q^2 + q + 1, q^2 - q + 1, and for
@@ -17,13 +23,13 @@ carries the factorizations; prime sets, degree sets and the structural
 graphs read their primes from those, so no order is factored and the
 63-bit range of `factor` bounds each factor, not their product.
 
-Every sweep over a Lie family takes its specs from `family_specs`, the one
-place that knows which parameters each family has: the prime powers from
-the `prime_powers` sieve, each handed out as its Factorization ((p, e),),
-or for Suzuki the powers 2**(2m+1).  It builds the specs through the
+Every sweep over a Lie family takes its specs from `family_specs`, which
+lists the parameters its record names: the prime powers from the
+`prime_powers` sieve, each handed out as its Factorization ((p, e),), or
+for Suzuki the powers 2**(2m+1).  It builds the specs through the
 unchecked `GroupSpec._known`, so a swept parameter is never factored again.
 The public constructor and `GroupSpec.parse` factor the parameter and
-reject anything that is not a valid one.
+reject anything that the record does not accept.
 """
 
 from __future__ import annotations
@@ -35,9 +41,10 @@ from functools import cache, cached_property, partial
 from itertools import chain
 from pathlib import Path
 from types import MappingProxyType
-from typing import Iterator, Mapping, Optional
+from typing import Callable, Iterable, Iterator, Mapping, Optional
 
 from .arithmetic import (
+    MAX_SUPPORTED,
     Factorization,
     PrimeSet,
     factor,
@@ -72,16 +79,56 @@ class FourPrimeCase(enum.Enum):
     NONE = "none"
 
 
+@dataclass(frozen=True, eq=False)
+class LieFamily:
+    """What a Lie-type family is, on one record per family.
+
+    The parameters are the prime powers q = p^e >= `smallest` for which
+    `admits(p, e)` holds, listed in [lo, hi] by `parameters(lo, hi)`, or by
+    `prime_powers` when that is None; a checked spec with any other
+    parameter is rejected with `rejects` (not an admitted prime power,
+    formatted with the family and q) or `too_small`.  `rest(q)` gives the
+    cyclotomic factors after q, and `order(q)` the exact order.
+    `rule(pi, fs)` is White's structural rule, as cliques on the prime set
+    pi read from the cyclotomic factorizations fs, and `degrees(q, fs)` the
+    degree formula where one is implemented.
+    `aliases` maps each member that is another group of the catalog to
+    that group's spec; the rule is wrong on the members in
+    `rule_exceptions`, whose graphs come from their degree sets.  `cap`
+    bounds the family's sweep (`verify.Bounds`).
+    """
+
+    family: Family
+    smallest: int
+    too_small: str
+    rest: Callable[[int], tuple[int, ...]]
+    order: Callable[[int], int]
+    key_prefix: str
+    cap: int
+    rule: Callable[[PrimeSet, tuple[Factorization, ...]], list]
+    parameters: Optional[Callable[[int, int], Iterable[Factorization]]] = None
+    admits: Callable[[int, int], bool] = lambda p, e: True
+    rejects: str = "{} parameter must be a prime power, got {}"
+    degrees: Optional[Callable[[int, tuple[Factorization, ...]], list]] = None
+    aliases: Mapping[int, "GroupSpec"] = field(default_factory=dict)
+    rule_exceptions: frozenset[int] = frozenset()
+
+    def __reduce__(self) -> str:
+        # One record per family: a copied or unpickled spec keeps it.
+        return f"_{self.family.name}"
+
+
 @dataclass(frozen=True)
 class GroupSpec:
     """A simple group: a family tag plus parameter, or a sporadic name.
 
     Suzuki convention: the parameter is q**2 = 2**(2m+1), m >= 1.
 
-    A Lie-type spec keeps `factorization`, the factorization of its
-    parameter made when the parameter is validated, and factors the rest of
-    its family's cyclotomic factors once, on first use
-    (`cyclotomic_factors`).  Neither takes part in equality.
+    A Lie-type spec keeps `lie`, its family's record, and `factorization`,
+    the factorization of its parameter made when the parameter is
+    validated, and factors the rest of its family's cyclotomic factors
+    once, on first use (`cyclotomic_factors`).  None of them takes part in
+    equality.
     """
 
     family: Family
@@ -90,6 +137,7 @@ class GroupSpec:
     factorization: Optional[Factorization] = field(
         default=None, init=False, compare=False, repr=False
     )
+    lie: Optional[LieFamily] = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         fam, q = self.family, self.parameter
@@ -105,29 +153,23 @@ class GroupSpec:
             if q not in ALTERNATING_RANGE:
                 raise ValueError(f"alternating degree must be in {ALTERNATING_RANGE}")
             return
+        lie = LIE_FAMILIES[fam]
         fq = factor(q) if q >= 2 else None
-        pf = fq.factors[0] if fq is not None and len(fq.factors) == 1 else None
-        if fam is Family.SUZUKI:
-            if pf is None or pf[0] != 2 or pf[1] < 3 or pf[1] % 2 == 0:
-                raise ValueError("Suzuki parameter must be 2**(2m+1) with m >= 1")
-        elif pf is None:
-            raise ValueError(f"{fam.value} parameter must be a prime power, got {q}")
-        if fam is Family.PSL2 and q < 4:
-            raise ValueError("PSL2 parameter must be >= 4 (smaller groups are solvable)")
-        if fam is Family.PSU3 and q < 3:
-            # q = 2 gives a solvable group of order 72, not a simple group.
-            raise ValueError("PSU3 parameter must be >= 3")
+        if fq is None or len(fq.factors) != 1 or not lie.admits(*fq.factors[0]):
+            raise ValueError(lie.rejects.format(fam.value, q))
+        if q < lie.smallest:
+            raise ValueError(lie.too_small)
         object.__setattr__(self, "factorization", fq)
+        object.__setattr__(self, "lie", lie)
 
     @classmethod
-    def _known(cls, family: Family, fq: Factorization) -> "GroupSpec":
-        """A Lie-type spec of `family` whose parameter, with factorization
-        `fq`, is already known to be valid for it, as `family_specs` lists
-        it: nothing is factored or checked."""
+    def _known(cls, lie: LieFamily, fq: Factorization) -> "GroupSpec":
+        """A spec of the Lie family `lie` whose parameter, with
+        factorization `fq`, is already known to be valid for it, as
+        `family_specs` lists it: nothing is factored or checked."""
         spec = object.__new__(cls)
-        vars(spec).update(
-            family=family, parameter=fq.value, name=None, factorization=fq
-        )
+        vars(spec).update(family=lie.family, parameter=fq.value, name=None,
+                          factorization=fq, lie=lie)
         return spec
 
     @cached_property
@@ -139,19 +181,9 @@ class GroupSpec:
         q^2-q+1.  Suzuki (parameter Q = q^2, r = sqrt(2Q)): Q, Q-1, Q+r+1,
         Q-r+1, where (Q+r+1)(Q-r+1) = Q^2+1.
         """
-        fam, q = self.family, self.parameter
-        if fam is Family.PSL2:
-            rest = (q - 1, q + 1)
-        elif fam is Family.PSL3:
-            rest = (q - 1, q + 1, q * q + q + 1)
-        elif fam is Family.PSU3:
-            rest = (q - 1, q + 1, q * q - q + 1)
-        elif fam is Family.SUZUKI:
-            r = math.isqrt(2 * q)
-            rest = (q - 1, q + r + 1, q - r + 1)
-        else:
+        if self.lie is None:
             raise UnsupportedFamilyError(f"no family rule for {self}")
-        return (self.factorization, *map(factor, rest))
+        return (self.factorization, *map(factor, self.lie.rest(self.parameter)))
 
     def __str__(self) -> str:
         if self.family is Family.SPORADIC:
@@ -308,28 +340,122 @@ def bundled_table_names() -> tuple[str, ...]:
 
 
 # ---------------------------------------------------------------------------
-# Aliases between small members of different families.
+# The Lie families.
 
-# Small Lie-type specs that are, up to isomorphism, another group of the
-# catalog; keys, table lookups and degree sets all go through this map.
-_ALIASES = {
-    (Family.PSL2, 4): GroupSpec.alternating(5),
-    (Family.PSL2, 5): GroupSpec.alternating(5),
-    (Family.PSL2, 9): GroupSpec.alternating(6),
-    (Family.PSL3, 2): GroupSpec.psl2(7),
-}
+def _primes(f: Factorization) -> list[int]:
+    return [p for p, _ in f.factors]
+
+
+# White's structural rules ("Degree graphs of simple groups", Rocky Mountain
+# J. Math. 39, 2009), each a union of cliques on the prime set pi, read from
+# the cyclotomic factorizations fs.
+
+def _suzuki_rule(pi: PrimeSet, fs: tuple[Factorization, ...]) -> list:
+    """Sz(Q), Q = q^2, r = sqrt(2Q): the odd primes, those of Q-1, Q+r+1
+    and Q-r+1, form a clique, and 2 is adjacent to exactly the primes of
+    Q-1."""
+    f_q, f_minus, f_plus_r, f_minus_r = fs
+    odd = _primes(f_minus) + _primes(f_plus_r) + _primes(f_minus_r)
+    return [odd, _primes(f_q) + _primes(f_minus)]
+
+
+def _rank_two_rule(pi, f_q, split, torus, f_cyc) -> list:
+    """PSL3(q), with split q-1, torus q+1 and f_cyc q^2+q+1, and PSU3(q),
+    its mirror image, with split q+1, torus q-1 and f_cyc q^2-q+1: complete
+    when the primes of the split factor lie in {2, 3}; otherwise every
+    prime but the defining prime p forms one clique, and p another with the
+    primes of the torus factor and of f_cyc.  All but pi are
+    Factorizations."""
+    if set(split.primes()) <= {2, 3}:
+        return [pi]
+    defining = f_q.primes()
+    return [pi - defining, defining | torus.primes() | f_cyc.primes()]
+
+
+# The trivial degree of every PSL2 degree set.
+_ONE = Factorization(1, ())
+
+
+def _psl2_degrees(q: int, fs: tuple[Factorization, ...]) -> list[Factorization]:
+    f_q, f_minus, f_plus = fs
+    degrees = [_ONE, f_minus, f_q, f_plus]
+    if q % 2:
+        # (q + 1)/2 when q = 1 mod 4, (q - 1)/2 when q = 3 mod 4
+        degrees.append((f_plus if q % 4 == 1 else f_minus).divide(2))
+    return degrees
+
+
+def _odd_powers_of_two(lo: int, hi: int) -> list[Factorization]:
+    """The powers 2**(2m+1) in [lo, hi], for lo itself such a power."""
+    exponents = range(lo.bit_length() - 1, max(hi, 0).bit_length(), 2)
+    return [Factorization._known(2**e, ((2, e),)) for e in exponents]
+
+
+# The PSL2/PSL3/PSU3 sweeps sieve the primes up to the square root of their
+# bound before the first group: about 1 s and 6 MiB at 10**12, gigabytes at
+# 10**18.  The 63-bit range of `factor` caps the others: Suzuki parameters,
+# powers of 2 that need no sieve, and PSL3 and PSU3 parameters, as
+# q^2 + q + 1 or q^2 - q + 1 leaves that range for every prime power q
+# above isqrt(MAX_SUPPORTED).
+MAX_SIEVED_BOUND = 10**12
+_SUZUKI_PARAMETER = "Suzuki parameter must be 2**(2m+1) with m >= 1"
+
+_PSL2 = LieFamily(
+    Family.PSL2, smallest=4, too_small="PSL2 parameter must be >= 4 (smaller groups are solvable)",
+    rest=lambda q: (q - 1, q + 1), order=lambda q: q * (q * q - 1) // math.gcd(2, q - 1),
+    key_prefix="psl2_", cap=MAX_SIEVED_BOUND, degrees=_psl2_degrees,
+    # The defining prime p is isolated; for odd q, 2 is joined to all other
+    # primes and odd primes are adjacent iff both divide q-1 or both divide
+    # q+1; for even q the primes of q-1 and of q+1 form two separate
+    # cliques.  So the cliques are the primes of q, q-1 and q+1.
+    rule=lambda pi, fs: [_primes(f) for f in fs],
+    aliases={4: GroupSpec.alternating(5), 5: GroupSpec.alternating(5),
+             9: GroupSpec.alternating(6)},
+    rule_exceptions=frozenset({5}),  # PSL2(5) = A5, where the rule joins 2 and 3
+)
+_SUZUKI = LieFamily(
+    Family.SUZUKI, smallest=8, too_small=_SUZUKI_PARAMETER, rejects=_SUZUKI_PARAMETER,
+    parameters=_odd_powers_of_two, admits=lambda p, e: p == 2 and e % 2 == 1,
+    rest=lambda q: (q - 1, q + math.isqrt(2 * q) + 1, q - math.isqrt(2 * q) + 1),
+    order=lambda q: q * q * (q * q + 1) * (q - 1),  # the parameter is q**2
+    key_prefix="sz", cap=MAX_SUPPORTED, rule=_suzuki_rule,
+)
+_PSL3 = LieFamily(
+    Family.PSL3, smallest=2, too_small="PSL3 parameter must be >= 2",
+    rest=lambda q: (q - 1, q + 1, q * q + q + 1),
+    order=lambda q: q**3 * (q**3 - 1) * (q * q - 1) // math.gcd(3, q - 1),
+    key_prefix="psl3_", cap=math.isqrt(MAX_SUPPORTED), rule=lambda pi, fs: _rank_two_rule(pi, *fs),
+    aliases={2: GroupSpec._known(_PSL2, Factorization._known(7, ((7, 1),)))},
+    # PSL3(2) = PSL2(7) and PSL3(4) are not complete, though the rule says so.
+    rule_exceptions=frozenset({2, 4}),
+)
+_PSU3 = LieFamily(
+    # q = 2 gives a solvable group of order 72, not a simple group.
+    Family.PSU3, smallest=3, too_small="PSU3 parameter must be >= 3",
+    rest=lambda q: (q - 1, q + 1, q * q - q + 1),
+    order=lambda q: q**3 * (q**3 + 1) * (q * q - 1) // math.gcd(3, q + 1),
+    key_prefix="psu3_", cap=math.isqrt(MAX_SUPPORTED),
+    rule=lambda pi, fs: _rank_two_rule(pi, fs[0], fs[2], fs[1], fs[3]),
+)
+
+# Every Lie family's record, in sweep order: the order of the all_specs
+# bounds and of the verify.Bounds fields named `<family value>_max`.
+LIE_FAMILIES = MappingProxyType({lie.family: lie for lie in (_PSL2, _SUZUKI, _PSL3, _PSU3)})
+
+
+def _alias(spec: GroupSpec) -> GroupSpec:
+    """The spec itself, or the other group of the catalog that it is."""
+    return spec if spec.lie is None else spec.lie.aliases.get(spec.parameter, spec)
 
 
 def canonical_key(spec: GroupSpec) -> str:
     """Isomorphism-invariant key, folding the small cross-family aliases."""
-    spec = _ALIASES.get((spec.family, spec.parameter), spec)
+    spec = _alias(spec)
+    if spec.lie is not None:
+        return f"{spec.lie.key_prefix}{spec.parameter}"
     if spec.family is Family.SPORADIC:
         return spec.name  # type: ignore[return-value]
-    if spec.family is Family.ALTERNATING:
-        return f"a{spec.parameter}"
-    if spec.family is Family.SUZUKI:
-        return f"sz{spec.parameter}"
-    return f"{spec.family.value}_{spec.parameter}"
+    return f"a{spec.parameter}"
 
 
 # ---------------------------------------------------------------------------
@@ -338,46 +464,30 @@ def canonical_key(spec: GroupSpec) -> str:
 def group_order(spec: GroupSpec) -> int:
     """Exact order for every valid spec; it may exceed the 63-bit range
     that `factor` accepts."""
-    fam, q = spec.family, spec.parameter
-    if fam is Family.PSL2:
-        return q * (q * q - 1) // math.gcd(2, q - 1)
-    if fam is Family.PSL3:
-        return q**3 * (q**3 - 1) * (q * q - 1) // math.gcd(3, q - 1)
-    if fam is Family.PSU3:
-        return q**3 * (q**3 + 1) * (q * q - 1) // math.gcd(3, q + 1)
-    if fam is Family.SUZUKI:
-        return q * q * (q * q + 1) * (q - 1)  # parameter is q**2
-    return _tables()[canonical_key(spec)].order
+    if spec.lie is None:
+        return _tables()[canonical_key(spec)].order
+    return spec.lie.order(spec.parameter)
 
 
 # ---------------------------------------------------------------------------
 # Character degrees.
 
-# The trivial degree of every PSL2 degree set.
-_ONE = Factorization(1, ())
-
-
 def character_degrees(spec: GroupSpec) -> DegreeSet:
-    """Degree set from the PSL2 closed formula or a bundled table; an
-    aliased spec takes the degrees of the group it is, so no PSL2 spec
-    left after the alias map is table-backed.
+    """Degree set from its family's degree formula (PSL2 today) or a
+    bundled table; an aliased spec takes the degrees of the group it is, so
+    no PSL2 spec left after the aliases is table-backed.
 
     PSL3/PSU3/Suzuki degree sets other than PSL3(4) and Sz(8) are not
-    bundled; their graphs are built structurally in the prime_graph module.
+    bundled; their graphs are built from their family's structural rule in
+    the prime_graph module.
     """
-    spec = _ALIASES.get((spec.family, spec.parameter), spec)
-    if spec.family is not Family.PSL2:
+    spec = _alias(spec)
+    if spec.lie is None or spec.lie.degrees is None:
         table = _tables().get(canonical_key(spec))
         if table is None:
             raise UnsupportedFamilyError(f"no degree set for {spec}")
         return table.degree_set
-    q = spec.parameter
-    f_q, f_minus, f_plus = spec.cyclotomic_factors
-    degrees = [_ONE, f_minus, f_q, f_plus]
-    if q % 2:
-        # (q + 1)/2 when q = 1 mod 4, (q - 1)/2 when q = 3 mod 4
-        degrees.append((f_plus if q % 4 == 1 else f_minus).divide(2))
-    return DegreeSet(degrees)
+    return DegreeSet(spec.lie.degrees(spec.parameter, spec.cyclotomic_factors))
 
 
 # ---------------------------------------------------------------------------
@@ -389,7 +499,7 @@ def prime_set_of_group(spec: GroupSpec) -> PrimeSet:
     63-bit range of `factor` long before the factors do (Suzuki Q^2 + 1
     past Q = 2^31, PSL3 and PSU3 past q of about 55 000).  Table groups
     factor their order."""
-    if spec.family in (Family.SPORADIC, Family.ALTERNATING):
+    if spec.lie is None:
         return prime_set(group_order(spec))
     return PrimeSet._known(p for f in spec.cyclotomic_factors for p, _ in f.factors)
 
@@ -405,7 +515,7 @@ def classify_four_prime_psl2(spec: GroupSpec) -> FourPrimeCase:
     to the largest prime divisor; or the parameter is 3**t for a prime
     t >= 5.  Anything else returns NONE.
     """
-    if spec.family is not Family.PSL2:
+    if spec.lie is not _PSL2:
         raise ValueError("classification applies to PSL2 specs only")
     pi = prime_set_of_group(spec)
     if len(pi) != 4:
@@ -475,17 +585,11 @@ def prime_powers(lo: int, hi: int) -> Iterator[Factorization]:
 
 def family_specs(family: Family, hi: int) -> Iterator[GroupSpec]:
     """Every spec of the Lie family `family` with parameter <= hi,
-    ascending: PSL2 q >= 4, PSL3 q >= 2, PSU3 q >= 3 and Suzuki q^2 =
-    2**(2m+1) with m >= 1, the parameters the checked constructor accepts."""
-    if family is Family.SUZUKI:
-        params = [
-            Factorization._known(2**e, ((2, e),))
-            for e in range(3, max(hi, 0).bit_length(), 2)
-        ]
-    else:
-        lo = {Family.PSL2: 4, Family.PSL3: 2, Family.PSU3: 3}[family]
-        params = prime_powers(lo, hi)
-    return map(partial(GroupSpec._known, family), params)
+    ascending: the parameters its record lists from its smallest on (PSL2
+    q >= 4, PSL3 q >= 2, PSU3 q >= 3 and Suzuki q^2 = 2**(2m+1) with
+    m >= 1), the parameters the checked constructor accepts."""
+    lie = LIE_FAMILIES[family]
+    return map(partial(GroupSpec._known, lie), (lie.parameters or prime_powers)(lie.smallest, hi))
 
 
 def all_specs(
@@ -497,10 +601,7 @@ def all_specs(
     for spec in chain(
         map(GroupSpec.alternating, ALTERNATING_RANGE),
         map(GroupSpec.sporadic, SPORADIC_NAMES),
-        family_specs(Family.PSL2, psl2_max),
-        family_specs(Family.SUZUKI, suzuki_max),
-        family_specs(Family.PSL3, psl3_max),
-        family_specs(Family.PSU3, psu3_max),
+        *map(family_specs, LIE_FAMILIES, (psl2_max, suzuki_max, psl3_max, psu3_max)),
     ):
         key = canonical_key(spec)
         if key not in seen:

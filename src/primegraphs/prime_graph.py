@@ -5,7 +5,8 @@ character degree of a group, with p adjacent to q exactly when pq divides
 some degree.  It holds prime labels over the census graph core, bitmask
 rows, so its queries are bit operations and the census predicates take it
 as it is.  Graphs can be built from a degree set, or directly from the
-known structure of each simple-group family; the two constructions are
+known structure of each Lie-type family, White's rule, which lives on the
+family's record in the groups module; the two constructions are
 cross-checked in the tests.
 
 Both are unions of cliques: a degree graph is the union of one clique on
@@ -22,13 +23,13 @@ import json
 from dataclasses import dataclass
 from itertools import combinations
 
-from .arithmetic import Factorization, PrimeSet
+from .arithmetic import PrimeSet
 from .census import GraphClass, Rows, canonicalize, edges_from_rows
 from .groups import (
     DegreeSet,
-    Family,
     GroupSpec,
     UnsupportedFamilyError,
+    _primes,
     character_degrees,
     prime_set_of_group,
 )
@@ -171,10 +172,6 @@ class PrimeGraph:
         return "\n".join(lines) + "\n" if lines else "\n"
 
 
-def _primes(f: Factorization) -> list[int]:
-    return [p for p, _ in f.factors]
-
-
 def graph_from_degrees(cd: DegreeSet) -> PrimeGraph:
     """Edge p-q iff pq divides some degree: one clique on the primes of each
     degree, read from the factorizations the degree set carries."""
@@ -182,62 +179,23 @@ def graph_from_degrees(cd: DegreeSet) -> PrimeGraph:
     return PrimeGraph(PrimeSet._known(p for c in cliques for p in c), cliques)
 
 
-# The members White's rules get wrong; see structural_graph.
-_RULE_EXCEPTIONS = ((Family.PSL2, 5), (Family.PSL3, 2), (Family.PSL3, 4))
-
-
 def structural_graph(spec: GroupSpec) -> PrimeGraph:
     """Build the degree graph of a Lie-type group from its known shape
-    rather than from a degree list, reading every prime from the spec's
-    cyclotomic factors.
+    rather than from a degree list: the cliques of White's rule, the `rule`
+    on its family's record, read from the spec's cyclotomic factors.
 
-    Suzuki (parameter Q = q^2, r = sqrt(2Q)): the odd primes form a clique
-    and 2 is adjacent to exactly the primes of Q-1; the other odd primes
-    are those of Q+r+1 and Q-r+1.  PSL3(q): complete when the primes of q-1
-    lie in {2, 3}; otherwise the primes of (q-1)(q+1)(q^2+q+1) form a
-    clique and the defining prime p is adjacent to the primes of q+1 and
-    q^2+q+1.  PSU3(q): the mirror image, complete when the primes of q+1
-    lie in {2, 3}, with p adjacent to the primes of q-1 and q^2-q+1.
-    PSL2(q): p is isolated; for odd q, 2 is joined to all other primes and
-    odd primes are adjacent iff both divide q-1 or both divide q+1; for
-    even q the primes of q-1 and of q+1 form two separate cliques.
-
-    So each rule is a union of cliques: Suzuki the odd primes and {2} with
-    the primes of Q-1; PSL3 and PSU3 all primes but p, and p with the
-    primes of its two torus factors (or one clique on all primes when
-    complete); PSL2 the primes of q, of q-1 and of q+1.
-
-    The rules fail on three members, which are built from their degree
-    sets instead: PSL2(5) = A5, where the rule joins 2 and 3, and PSL3(2)
-    = PSL2(7) and PSL3(4), which the rule makes complete.
+    The rules fail on three members, which the records list as rule
+    exceptions and which are built from their degree sets instead: PSL2(5)
+    = A5, where the rule joins 2 and 3, and PSL3(2) = PSL2(7) and PSL3(4),
+    which the rule makes complete.
     """
-    fam, q = spec.family, spec.parameter
-    if fam in (Family.SPORADIC, Family.ALTERNATING):
-        raise UnsupportedFamilyError(
-            f"{spec} has no structural rule; build from its degree table"
-        )
-    if (fam, q) in _RULE_EXCEPTIONS:
+    lie = spec.lie
+    if lie is None:
+        raise UnsupportedFamilyError(f"{spec} has no structural rule; build from its degree table")
+    if spec.parameter in lie.rule_exceptions:
         return graph_from_degrees(character_degrees(spec))
-
     pi = prime_set_of_group(spec)
-    if fam is Family.SUZUKI:
-        f_q, f_minus, f_plus_r, f_minus_r = spec.cyclotomic_factors
-        odd = _primes(f_minus) + _primes(f_plus_r) + _primes(f_minus_r)
-        return PrimeGraph(pi, [odd, _primes(f_q) + _primes(f_minus)])
-
-    if fam is Family.PSL3 or fam is Family.PSU3:
-        f_q, f_minus, f_plus, f_cyc = spec.cyclotomic_factors
-        if fam is Family.PSL3:
-            split, torus = f_minus, f_plus.primes() | f_cyc.primes()
-        else:
-            split, torus = f_plus, f_minus.primes() | f_cyc.primes()
-        if set(split.primes()) <= {2, 3}:
-            return PrimeGraph(pi, [pi])
-        defining = f_q.primes()
-        return PrimeGraph(pi, [pi - defining, defining | torus])
-
-    # PSL2: the cliques of q, q - 1 and q + 1
-    return PrimeGraph(pi, [_primes(f) for f in spec.cyclotomic_factors])
+    return PrimeGraph(pi, lie.rule(pi, spec.cyclotomic_factors))
 
 
 def graph_of(spec: GroupSpec) -> PrimeGraph:

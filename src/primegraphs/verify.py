@@ -14,10 +14,9 @@ import random
 import time
 from dataclasses import dataclass
 from itertools import combinations
-from math import isqrt
 from typing import Callable
 
-from .arithmetic import MAX_SUPPORTED, is_prime, prime_set
+from .arithmetic import is_prime, prime_set
 from .census import (
     GraphClass,
     Rows,
@@ -32,6 +31,8 @@ from .census import (
     triangle_count,
 )
 from .groups import (
+    LIE_FAMILIES,
+    MAX_SIEVED_BOUND,  # the PSL2 sweep cap, importable from here too
     Family,
     FourPrimeCase,
     GroupSpec,
@@ -48,21 +49,6 @@ from .groups import (
 from .prime_graph import PrimeGraph, graph_from_degrees, graph_of, product_graph, structural_graph
 
 
-# The PSL2/PSL3/PSU3 sweeps sieve the primes up to the square root of their
-# bound before the first group: about 1 s and 6 MiB at 10**12, gigabytes at
-# 10**18.  The 63-bit range of `factor` caps the others: Suzuki parameters,
-# powers of 2 that need no sieve, and PSL3 and PSU3 parameters, as
-# q^2 + q + 1 or q^2 - q + 1 leaves that range for every prime power q
-# above isqrt(MAX_SUPPORTED).
-MAX_SIEVED_BOUND = 10**12
-_CAPS = {
-    "psl2_max": MAX_SIEVED_BOUND,
-    "suzuki_max": MAX_SUPPORTED,
-    "psl3_max": isqrt(MAX_SUPPORTED),
-    "psu3_max": isqrt(MAX_SUPPORTED),
-}
-
-
 @dataclass(frozen=True)
 class Bounds:
     psl2_max: int = 10**4
@@ -73,12 +59,13 @@ class Bounds:
     seed: int = 20260823
 
     def __post_init__(self) -> None:
-        for name, cap in _CAPS.items():
-            value = getattr(self, name)
+        # Each family's sweep bound is capped by its record (LIE_FAMILIES).
+        for lie in LIE_FAMILIES.values():
+            value = getattr(self, name := f"{lie.family.value}_max")
             if value <= 0:
                 raise ValueError(f"{name} must be positive, got {value}")
-            if value > cap:
-                raise ValueError(f"{name} must be <= {cap}, got {value}")
+            if value > lie.cap:
+                raise ValueError(f"{name} must be <= {lie.cap}, got {value}")
         if self.product_trials < 0:
             raise ValueError(
                 f"product_trials must be non-negative, got {self.product_trials}"

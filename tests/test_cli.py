@@ -239,6 +239,13 @@ _USAGE_ERRORS = [
     (["cd", "psl3", "5"], "error: no degree set for psl3 5\n"),
     (["cd", "foo", "3"], "error: 'foo' is not a valid Family\n"),
     (
+        ["cd", "psl2", "2"],
+        "error: PSL2 parameter must be >= 4 (smaller groups are solvable)\n",
+    ),
+    (["cd", "psu3", "2"], "error: PSU3 parameter must be >= 3\n"),
+    (["cd", "suzuki", "16"], "error: Suzuki parameter must be 2**(2m+1) with m >= 1\n"),
+    (["order", "psl3", "1"], "error: psl3 parameter must be a prime power, got 1\n"),
+    (
         ["order", "psl2", "1180591620717411303424"],
         "error: 1180591620717411303424 exceeds the supported 63-bit range\n",
     ),

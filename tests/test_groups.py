@@ -1,6 +1,11 @@
+import copy
+import hashlib
+import inspect
 import math
+import pickle
 import sys
 import tracemalloc
+from dataclasses import fields
 from itertools import islice
 
 import pytest
@@ -9,6 +14,7 @@ from primegraphs import arithmetic, groups
 
 from primegraphs.arithmetic import MAX_SUPPORTED, factor, prime_set
 from primegraphs.groups import (
+    LIE_FAMILIES,
     DegreeSet,
     Family,
     FourPrimeCase,
@@ -245,6 +251,52 @@ def test_family_specs_below_the_smallest_parameter(family, smallest):
     for hi in (-smallest, 0, 1, smallest - 1):
         assert list(family_specs(family, hi)) == [], hi
     assert [s.parameter for s in family_specs(family, smallest)] == [smallest]
+
+
+# sha256 over what the family layer answers for every Lie-type spec of
+# all_specs(30000, 2**31, 1000, 1000), 3714 specs: the spec's text, key and
+# order, its cyclotomic factor values, its prime set and its structural
+# graph.  Recorded before the families became records; any change to a
+# family's parameters, formulas or rule must update this on purpose.
+PINNED_FAMILY_LAYER_SHA256 = (
+    "acb0da9294ee13ce1edf0818b3c39abf1ba79e7252c6796ad16f5002a0838b0f"
+)
+
+
+def test_family_layer_is_pinned():
+    h = hashlib.sha256()
+    lie = 0
+    for spec in all_specs(30000, 2**31, 1000, 1000):
+        if spec.family in (Family.SPORADIC, Family.ALTERNATING):
+            continue
+        lie += 1
+        values = tuple(f.value for f in spec.cyclotomic_factors)
+        g = structural_graph(spec)
+        h.update(
+            f"{spec}|{canonical_key(spec)}|{group_order(spec)}|{values}|"
+            f"{tuple(prime_set_of_group(spec))}|{tuple(g.vertices)}|{g.rows}\n"
+            .encode()
+        )
+    assert lie == 3714
+    assert h.hexdigest() == PINNED_FAMILY_LAYER_SHA256
+
+
+def test_family_records_follow_the_sweep_bounds():
+    # all_specs takes its bounds, and Bounds checks its fields against the
+    # caps, in the order of LIE_FAMILIES.
+    names = [f"{family.value}_max" for family in LIE_FAMILIES]
+    assert names == list(inspect.signature(all_specs).parameters)
+    assert names == [f.name for f in fields(Bounds)][: len(names)]
+    for family, lie in LIE_FAMILIES.items():
+        assert lie.family is family
+
+
+def test_copied_and_unpickled_specs_keep_their_record():
+    for spec in (GroupSpec.psl2(11), GroupSpec.suzuki(32), GroupSpec.psu3(5)):
+        for twin in (copy.deepcopy(spec), pickle.loads(pickle.dumps(spec))):
+            assert twin == spec and twin.lie is spec.lie
+            assert twin.factorization == spec.factorization
+    assert classify_four_prime_psl2(copy.copy(GroupSpec.psl2(11))) is FourPrimeCase.CASE_R
 
 
 def test_degree_set_factorizations():
