@@ -23,49 +23,34 @@ chunk, and the packing is one-to-one, so two prefixes with equal keys have
 equal chunk maps and identical continuations.  Such prefixes and twin
 vertices are collapsed to keep the frontier small.
 
-Across roots, four rules keep the result the lex-min form while searching
-few of them:
-- Bound.  A root's search stops as soon as a level's minimum exceeds the
-  best code found so far while the earlier levels tie with it.
+Roots are taken one at a time, one per twin class, in vertex order; the
+first is searched in full, and three rules keep the result the lex-min
+form while searching few of the rest:
+- Bound by probe.  A later root is first probed depth-first, along the
+  prefixes whose chunks equal the best code so far (the bound), with the
+  same narrowing pass, twin filter and prefix keys (a seen-set in place of
+  the frontier).  If every prefix rises above the bound, the root is cut.
+  If a tied prefix falls below it, the root is searched in full, and its
+  code, strictly below the bound, becomes the new best.
 - Orbits.  Two orderings with equal chunks read the same adjacency
   matrix, so mapping one onto the other position by position is an
   automorphism; so are the map between two merged prefixes (identity on
   the unplaced vertices) and a swap of twins.  Their vertex pairs are
   united into an orbit partition, and a root in the orbit of a searched
-  root is skipped: an automorphism g maps the orderings from u onto
-  orderings from g(u) with the same chunks, so g(u) reaches nothing new.
-- Degree singletons.  A root alone in its degree class cannot share an
-  orbit with another root, so all such roots are seeded into one search;
-  when every root's degree is distinct this is a single search over all
-  of them.  Restricting roots to the minimum degree instead would be
-  unsound: the smallest code can start at a vertex of higher degree.
-- Tie probe.  A later root that ties the bound lies in the best root's
-  orbit, and one full ordering with the bound's chunks is enough to unite
-  the two; the breadth-first search would carry every tied prefix to the
-  last level.  So a later single root is first probed depth-first, along
-  the prefixes whose chunks equal the bound, with the same narrowing pass,
-  twin filter and prefix keys (a seen-set in place of the frontier).  The
-  first ordering that ties is united with the best one; a prefix that
-  falls below the bound sends the root to the breadth-first search, which
-  finds the new best code; if every prefix rises above the bound, the root
-  is cut.  Probing is gated: it starts once a search has united two orbits
-  (the twin merges do not count) and stops once a later root has beaten
-  the bound.  On graphs with few automorphisms later roots mostly beat the
-  bound or are cut, and a probe then repeats work the breadth-first search
-  does anyway.  Timed on the dense side (the graph when 2k >= n - 1, else
-  its complement) of the first 600 pruned labelings of (11, 4), (11, 6),
-  (12, 3), (12, 4) and (12, 8), against the search without the probe
-  (2 CPUs, Python 3.11), probing every later root cost 4-13 % more and
-  the union gate alone 1-6 %; the full gate stays within -1..+2 %, and
-  the oracle's 8145 labeled graphs take 18 % less.
+  or probed root is skipped: an automorphism g maps the orderings from u
+  onto orderings from g(u) with the same chunks, so g(u) reaches nothing
+  new.
+- Tie probe.  A root that ties the bound lies in the best root's orbit,
+  and the probe's first full ordering with the bound's chunks is enough
+  to unite the two; a search would carry every tied prefix to the last
+  level.
 
 The partition alone decides vertex-transitivity: every union is an
 automorphism, and in a vertex-transitive graph every root's smallest code
-is the global one, so no later root beats the bound or is cut.  Each later
-root that is searched or probed ties the bound, and one matching ordering per
-tied root joins it to the best ordering's root (degree singletons share a
-search there only if there is one root), while every other vertex is a
-twin or in a searched class.
+is the global one, so no later root beats the bound or is cut.  Each
+later root that is probed ties, and its one matching ordering joins it to
+the best ordering's root, while every other vertex is a twin or lies in
+the class of a root already searched or probed.
 
 The census of k-regular graphs generates labeled graphs row by row and
 prunes interchangeable vertices: when row v is filled, candidates u > v
@@ -211,14 +196,10 @@ def _extensions(
 
 
 def _rooted_search(
-    rows: Rows,
-    roots: list[int],
-    bound: Optional[tuple[int, ...]],
-    unite: Callable[[tuple, tuple], None],
-) -> Optional[tuple[tuple[int, ...], list[tuple]]]:
-    """The smallest chunk sequence over orderings that start at one of
-    `roots`, and a link for each full ordering reaching it; None as soon as
-    a level falls behind `bound` while the earlier levels tie with it.
+    rows: Rows, root: int, unite: Callable[[tuple, tuple], None]
+) -> tuple[tuple[int, ...], list[tuple]]:
+    """The smallest chunk sequence over orderings that start at `root`, and
+    a link for each full ordering reaching it.
 
     A link is an ordering's placement order held as (parent link, vertex),
     so extending a prefix is O(1).  Two prefixes that merge are handed to
@@ -231,14 +212,12 @@ def _rooted_search(
     # packing is one-to-one, so equal keys mean equal chunk maps, and such
     # prefixes merge: their continuations are the same.
     n = len(rows)
-    full = (1 << n) - 1
     rep, shifts = _layout(n)
-    frontier: dict[tuple[int, int], tuple] = {}
-    for v in roots:
-        rest = full ^ 1 << v
-        frontier[(rest, rows[v] & rest)] = (None, v)
+    rest = ((1 << n) - 1) ^ 1 << root
+    frontier: dict[tuple[int, int], tuple] = {
+        (rest, rows[root] & rest): (None, root)
+    }
     chunks_out: list[int] = []
-    tied = bound is not None
     for level in range(1, n):
         best = -1
         reached: list[tuple[int, int, int, tuple]] = []
@@ -250,10 +229,6 @@ def _rooted_search(
             elif chunk < best or best < 0:
                 best = chunk
                 reached = [(unplaced, packed, cand, link)]
-        if tied:
-            if best > bound[level - 1]:
-                return None
-            tied = best == bound[level - 1]
         chunks_out.append(best)
         if level == n - 1:
             # One vertex is left, and it is the whole candidate mask.
@@ -307,37 +282,25 @@ def _tie_probe(rows: Rows, root: int, bound: tuple[int, ...]) -> tuple | str | N
 
 
 def _canonical_search(rows: Rows) -> tuple[tuple[int, ...], Callable]:
-    """The canonical chunks, and the find of the orbit partition."""
+    """The canonical chunks, and the find of the orbit partition.  The first
+    root is searched; each later root outside the classes already searched
+    or probed is probed against the best code, and searched only when it
+    beats it."""
     n = len(rows)
     # The roots are one vertex per twin class, as at every later level, and
     # a twin starts in its root's orbit: swapping twins is an automorphism.
     orbit = list(range(n))  # union-find parents of the orbit partition
-    by_degree: dict[int, list[int]] = {}  # the roots of each degree
+    roots: list[int] = []
     closed_seen: dict[int, int] = {}
     open_seen: dict[int, int] = {}
     for v, row in enumerate(rows):
         closed = row | 1 << v
         orbit[v] = closed_seen.get(closed, open_seen.get(row, v))
-        if orbit[v] != v:
-            continue
-        closed_seen[closed] = open_seen[row] = v
-        by_degree.setdefault(row.bit_count(), []).append(v)
-    # A root alone in its degree class shares an orbit with no other root,
-    # so all such roots are searched together, and nothing can skip them.
-    # Searches go by lowest degree first: a root with fewer neighbours
-    # tends to start a smaller code, so later searches meet a tighter bound.
-    tasks = [(d, [v]) for d, vs in by_degree.items() if len(vs) > 1 for v in vs]
-    alone = {d: vs[0] for d, vs in by_degree.items() if len(vs) == 1}
-    if alone:
-        tasks.append((min(alone), sorted(alone.values())))
-    tasks.sort()
-    # searched[r]: the class of representative r holds a searched root.
+        if orbit[v] == v:
+            closed_seen[closed] = open_seen[row] = v
+            roots.append(v)
+    # searched[r]: a root in representative r's class was searched or probed.
     searched = [False] * n
-    # A later single root is probed depth-first once a search has found an
-    # automorphism, and until a later root beats the bound; otherwise ties
-    # are rare, and a probe mostly does work the breadth-first search redoes.
-    united = False
-    beaten = False
 
     def find(v: int) -> int:
         while orbit[v] != v:
@@ -350,7 +313,6 @@ def _canonical_search(rows: Rows) -> tuple[tuple[int, ...], Callable]:
         # equal chunks, or prefixes that merged.  Mapping one onto the other
         # position by position, and the unplaced vertices to themselves,
         # preserves adjacency, so it is an automorphism.
-        nonlocal united
         while a is not b:
             a, u = a  # type: ignore[misc]
             b, w = b  # type: ignore[misc]
@@ -358,32 +320,25 @@ def _canonical_search(rows: Rows) -> tuple[tuple[int, ...], Callable]:
             if ru != rw:
                 orbit[ru] = rw
                 searched[rw] = searched[rw] or searched[ru]
-                united = True
 
     best: Optional[tuple[int, ...]] = None
     best_link = None
-    for _, task in tasks:
-        if len(task) == 1:
-            root = find(task[0])
-            if searched[root]:
-                continue
-            searched[root] = True
-            if united and not beaten:
-                # best is set, as only a search unites.  One ordering that
-                # ties unites the root with the best one.
-                probe = _tie_probe(rows, task[0], best)
-                if probe is None:
-                    continue
-                if probe is not _BEATS:
-                    unite(best_link, probe)
-                    continue
-        result = _rooted_search(rows, task, best, unite)
-        if result is None:
+    for root in roots:
+        cls = find(root)
+        if searched[cls]:
             continue
-        chunks, links = result
-        if best is None or chunks < best:
-            beaten = best is not None
-            best, best_link = chunks, links[0]
+        searched[cls] = True
+        if best is not None:
+            # One ordering that ties unites the root with the best one; a
+            # root that the bound cuts reaches nothing new.
+            probe = _tie_probe(rows, root, best)
+            if probe is not _BEATS:
+                if probe is not None:
+                    unite(best_link, probe)
+                continue
+        # The first root, or one whose smallest code is below the bound.
+        best, links = _rooted_search(rows, root, unite)
+        best_link = links[0]
         for link in links:
             unite(best_link, link)
     return best or (), find

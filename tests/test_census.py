@@ -251,17 +251,17 @@ def test_canonical_form_where_a_minimum_degree_root_loses():
 
 
 def searched_roots(monkeypatch, rows):
-    """The roots of each breadth-first search and each depth-first tie probe
+    """The root of each breadth-first search and each depth-first tie probe
     that canonicalize(rows) runs, in order."""
     calls = []
     search, probe = census._rooted_search, census._tie_probe
 
-    def counting_search(rows, roots, *rest):
-        calls.append(roots)
-        return search(rows, roots, *rest)
+    def counting_search(rows, root, *rest):
+        calls.append(root)
+        return search(rows, root, *rest)
 
     def counting_probe(rows, root, bound):
-        calls.append([root])
+        calls.append(root)
         return probe(rows, root, bound)
 
     monkeypatch.setattr(census, "_rooted_search", counting_search)
@@ -284,6 +284,13 @@ def test_found_automorphisms_skip_roots(monkeypatch, rows):
     # Every vertex is a root of its own (no twins) and all share one orbit:
     # without skipping, each of the n roots would be searched.
     assert len(searched_roots(monkeypatch, rows)) <= 2
+
+
+def test_a_root_the_bound_cuts_skips_its_orbit(monkeypatch):
+    # The path 0-3-1-2.  The middle vertex 1 is cut by the bound from end 0;
+    # end 2 ties, and its ordering maps 1 onto 3, which is then skipped.
+    rows = rows_from_edges(4, [(0, 3), (3, 1), (1, 2)])
+    assert searched_roots(monkeypatch, rows) == [0, 1, 2]
 
 
 def test_every_tie_probe_outcome_reaches_the_brute_force_minimum(monkeypatch):
@@ -311,19 +318,39 @@ def test_every_tie_probe_outcome_reaches_the_brute_force_minimum(monkeypatch):
     assert set(outcomes) == {"tie", "beats", "cut"}
 
 
-@pytest.mark.parametrize(
-    "rows, roots",
-    [
-        # Degrees 3, 2, 2, 1, 0: vertices 1 and 2 are adjacent twins.
-        ((14, 5, 3, 1, 0), [0, 1, 3, 4]),
-        # The star K1,4: its leaves are non-adjacent twins.
-        ((30, 1, 1, 1, 1), [0, 1]),
-    ],
-)
-def test_roots_alone_in_their_degree_share_one_search(monkeypatch, rows, roots):
-    # One root per twin class, and those roots have distinct degrees, so
-    # they take one search together.
-    assert searched_roots(monkeypatch, rows) == [roots]
+def test_every_later_search_follows_a_probe_that_beats(monkeypatch):
+    # Only the first root is searched outright.  Every later root is probed
+    # first, and searched only when the probe finds a code below the bound.
+    events = []
+    search, probe = census._rooted_search, census._tie_probe
+
+    def recording_search(rows, root, *rest):
+        events.append(("search", root))
+        return search(rows, root, *rest)
+
+    def recording_probe(rows, root, bound):
+        found = probe(rows, root, bound)
+        events.append(("beats" if found is census._BEATS else "probe", root))
+        return found
+
+    monkeypatch.setattr(census, "_rooted_search", recording_search)
+    monkeypatch.setattr(census, "_tie_probe", recording_probe)
+    graphs = list(SYMMETRIC.values())
+    for n in range(1, 6):
+        pairs = list(combinations(range(n), 2))
+        for mask in range(1 << len(pairs)):
+            edges = [e for b, e in enumerate(pairs) if mask >> b & 1]
+            graphs.append((n, rows_from_edges(n, edges)))
+    later = 0
+    for n, rows in graphs:
+        events.clear()
+        canonicalize(rows)
+        assert events[0][0] == "search", rows
+        for before, (kind, root) in zip(events, events[1:]):
+            if kind == "search":
+                assert before == ("beats", root), rows
+                later += 1
+    assert later > 0
 
 
 def test_census_counts():

@@ -107,6 +107,15 @@ def test_enum(capsys):
     assert "vertex-transitive=y" in out and "vertex-transitive=n" in out
 
 
+def test_enum_vertex_transitive_counts_at_ten_vertices(capsys):
+    # Cubic: the Petersen graph, the pentagonal prism and the Moebius ladder.
+    # Quartic: K5 + K5 and the circulants C10(1, 2), C10(1, 3), C10(1, 4).
+    for k, transitive in ((3, 3), (4, 4)):
+        code, out, _ = run(capsys, "enum", "--n", "10", "--k", str(k), "--stats")
+        assert code == 0
+        assert out.count("vertex-transitive=y") == transitive, k
+
+
 def test_enum_filters(capsys):
     code, out, _ = run(capsys, "enum", "--n", "8", "--k", "4", "--require-clique", "4")
     assert code == 0 and out.startswith("1 classes")
