@@ -295,6 +295,9 @@ def _parse_int_list(text: str) -> tuple[int, ...]:
     return tuple(int(tok.strip()) for tok in text.split(",") if tok.strip())
 
 
+_TABLE_KEYS = frozenset({"order", "degrees", "maximal_indices", "projective_factors"})
+
+
 def _load_table(path: Path) -> DegreeTable:
     fields: dict[str, str] = {}
     for line in path.read_text().splitlines():
@@ -302,7 +305,12 @@ def _load_table(path: Path) -> DegreeTable:
         if not line or line.startswith("#"):
             continue
         key, _, value = line.partition("=")
-        fields[key.strip()] = value.strip()
+        key = key.strip()
+        if key not in _TABLE_KEYS:
+            raise ValueError(f"{path.stem}: unknown key {key!r}")
+        if key in fields:
+            raise ValueError(f"{path.stem}: repeated key {key!r}")
+        fields[key] = value.strip()
     degrees = tuple(
         (int(d), int(m))
         for d, m in (tok.split(":") for tok in fields["degrees"].split(","))

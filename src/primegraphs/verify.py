@@ -2,7 +2,8 @@
 groups and the small regular-graph censuses, with a deterministic
 pass/fail report.
 
-Each claim is a pure function of the sweep bounds.  A failing claim
+A claim is a pure function of the sweep bounds, registered under its id
+with `@_claim(id)`; its docstring states the claim.  A failing claim
 reports a concrete witness (a group spec or an edge list) sufficient to
 reproduce it with run_one.
 """
@@ -73,13 +74,6 @@ class Bounds:
 
 
 @dataclass(frozen=True)
-class Claim:
-    id: str
-    description: str
-    checker: Callable[[Bounds], tuple[bool, str]]
-
-
-@dataclass(frozen=True)
 class ReportEntry:
     id: str
     status: str  # "pass" or "fail"
@@ -115,16 +109,18 @@ class Report:
         return json.dumps(obj, separators=(", ", ": ")) + "\n"
 
 
-_REGISTRY: dict[str, Claim] = {}
+Checker = Callable[[Bounds], tuple[bool, str]]
+
+_REGISTRY: dict[str, Checker] = {}
 
 
-def _claim(id: str, description: str):
-    def register(fn: Callable[[Bounds], tuple[bool, str]]) -> Claim:
+def _claim(id: str) -> Callable[[Checker], Checker]:
+    """Register the decorated checker under `id`, in order, and return it."""
+    def register(fn: Checker) -> Checker:
         if id in _REGISTRY:
             raise ValueError(f"duplicate claim id {id}")
-        c = Claim(id, description, fn)
-        _REGISTRY[id] = c
-        return c
+        _REGISTRY[id] = fn
+        return fn
 
     return register
 
@@ -136,11 +132,9 @@ _VACUOUS = (False, "checked nothing: bounds too small")
 # ---------------------------------------------------------------------------
 # Sweeps over the group families.
 
-@_claim(
-    "regular-implies-complete",
-    "every regular degree graph of an implemented simple group is complete",
-)
+@_claim("regular-implies-complete")
 def _check_regular_complete(b: Bounds) -> tuple[bool, str]:
+    """every regular degree graph of an implemented simple group is complete"""
     count = 0
     for spec in all_specs(b.psl2_max, b.suzuki_max, b.psl3_max, b.psu3_max):
         g = graph_of(spec)
@@ -151,11 +145,9 @@ def _check_regular_complete(b: Bounds) -> tuple[bool, str]:
     return True, f"{count} groups swept, no noncomplete regular graph"
 
 
-@_claim(
-    "structural-agreement",
-    "structural and degree-set constructions agree on all of PSL2",
-)
+@_claim("structural-agreement")
 def _check_structural_agreement(b: Bounds) -> tuple[bool, str]:
+    """structural and degree-set constructions agree on all of PSL2"""
     count = 0
     for spec in family_specs(Family.PSL2, b.psl2_max):
         if structural_graph(spec) != graph_from_degrees(character_degrees(spec)):
@@ -166,12 +158,10 @@ def _check_structural_agreement(b: Bounds) -> tuple[bool, str]:
     return True, f"{count} parameters checked"
 
 
-@_claim(
-    "pentagon-shapes",
-    "five-prime PSL2 graphs inside the house or butterfly take one of "
-    "three shapes",
-)
+@_claim("pentagon-shapes")
 def _check_pentagon_shapes(b: Bounds) -> tuple[bool, str]:
+    """five-prime PSL2 graphs inside the house or butterfly take one of three
+    shapes"""
     house, butterfly = named("house"), named("butterfly")
     allowed = {
         named("pentagon-matching"),
@@ -207,12 +197,10 @@ def _check_pentagon_shapes(b: Bounds) -> tuple[bool, str]:
 _THREE_PRIME_CAP = 272
 
 
-@_claim(
-    "three-prime-groups",
-    "the simple groups with exactly three prime divisors are the known "
-    "seven, each divisible by 2 and 3",
-)
+@_claim("three-prime-groups")
 def _check_three_prime(b: Bounds) -> tuple[bool, str]:
+    """the simple groups with exactly three prime divisors are the known seven,
+    each divisible by 2 and 3"""
     expected = {"a5", "a6", "psl2_7", "psl2_8", "psl2_17", "psl3_3", "psu3_3"}
     found = set()
     # Every Lie-type order is at least q(q^2 - 1)/2, which reaches 10**7 at
@@ -231,11 +219,9 @@ def _check_three_prime(b: Bounds) -> tuple[bool, str]:
     return True, f"exactly {sorted(found)}"
 
 
-@_claim(
-    "four-prime-psl2-cases",
-    "the four-prime PSL2 case detector is consistent with its definitions",
-)
+@_claim("four-prime-psl2-cases")
 def _check_four_prime(b: Bounds) -> tuple[bool, str]:
+    """the four-prime PSL2 case detector is consistent with its definitions"""
     counts = {case: 0 for case in FourPrimeCase}
     for spec in family_specs(Family.PSL2, b.psl2_max):
         q = spec.parameter
@@ -261,8 +247,9 @@ def _check_four_prime(b: Bounds) -> tuple[bool, str]:
 # ---------------------------------------------------------------------------
 # Census claims.
 
-@_claim("order6-census", "exactly one 4-regular graph on 6 vertices: the octahedron")
+@_claim("order6-census")
 def _check_order6(b: Bounds) -> tuple[bool, str]:
+    """exactly one 4-regular graph on 6 vertices: the octahedron"""
     census = enumerate_regular(6, 4)
     if len(census) != 1 or census.classes[0] != named("octahedron"):
         return False, f"census size {len(census)}"
@@ -271,11 +258,9 @@ def _check_order6(b: Bounds) -> tuple[bool, str]:
     return True, "|census(6,4)| = 1, 8 triangles"
 
 
-@_claim(
-    "order7-census",
-    "exactly two 4-regular graphs on 7 vertices, with 7 and 6 triangles",
-)
+@_claim("order7-census")
 def _check_order7(b: Bounds) -> tuple[bool, str]:
+    """exactly two 4-regular graphs on 7 vertices, with 7 and 6 triangles"""
     census = enumerate_regular(7, 4)
     triangles = sorted(triangle_count(g) for g in census)
     if len(census) != 2 or triangles != [6, 7]:
@@ -285,12 +270,10 @@ def _check_order7(b: Bounds) -> tuple[bool, str]:
     return True, "|census(7,4)| = 2, triangles {6, 7}"
 
 
-@_claim(
-    "vertex-transitivity",
-    "the 7-triangle order-7 graph is vertex-transitive; the 6-triangle one "
-    "is not",
-)
+@_claim("vertex-transitivity")
 def _check_vertex_transitivity(b: Bounds) -> tuple[bool, str]:
+    """the 7-triangle order-7 graph is vertex-transitive; the 6-triangle one is
+    not"""
     a = is_vertex_transitive(named("quartic7-7tri"))
     c = is_vertex_transitive(named("quartic7-6tri"))
     if not a or c:
@@ -298,8 +281,9 @@ def _check_vertex_transitivity(b: Bounds) -> tuple[bool, str]:
     return True, "as expected"
 
 
-@_claim("order8-k4-count", "exactly one 4-regular graph on 8 vertices contains K4")
+@_claim("order8-k4-count")
 def _check_order8_k4(b: Bounds) -> tuple[bool, str]:
+    """exactly one 4-regular graph on 8 vertices contains K4"""
     census = enumerate_regular(8, 4)
     if len(census) != 6:
         return False, f"census size {len(census)}"
@@ -309,8 +293,9 @@ def _check_order8_k4(b: Bounds) -> tuple[bool, str]:
     return True, "1 of 6 classes, matching the catalog graph"
 
 
-@_claim("order9-k4-count", "exactly two 4-regular graphs on 9 vertices contain K4")
+@_claim("order9-k4-count")
 def _check_order9_k4(b: Bounds) -> tuple[bool, str]:
+    """exactly two 4-regular graphs on 9 vertices contain K4"""
     census = enumerate_regular(9, 4)
     if len(census) != 16:
         return False, f"census size {len(census)}"
@@ -321,8 +306,9 @@ def _check_order9_k4(b: Bounds) -> tuple[bool, str]:
     return True, "2 of 16 classes, matching the catalog pair"
 
 
-@_claim("k4-free-small", "the 4-regular graphs on 6 and 7 vertices are K4-free")
+@_claim("k4-free-small")
 def _check_k4_free(b: Bounds) -> tuple[bool, str]:
+    """the 4-regular graphs on 6 and 7 vertices are K4-free"""
     for n in (6, 7):
         for g in enumerate_regular(n, 4):
             if contains_clique(g, 4):
@@ -330,12 +316,10 @@ def _check_k4_free(b: Bounds) -> tuple[bool, str]:
     return True, "no K4 on 6 or 7 vertices"
 
 
-@_claim(
-    "k5-closure",
-    "a 4-regular graph on 5..9 vertices containing K5 is a disjoint union "
-    "of K5's",
-)
+@_claim("k5-closure")
 def _check_k5_closure(b: Bounds) -> tuple[bool, str]:
+    """a 4-regular graph on 5..9 vertices containing K5 is a disjoint union of
+    K5's"""
     k5 = complete_class(5)
     qualifying = 0
     for n in range(5, 10):
@@ -356,12 +340,10 @@ def _disjoint_k5s(copies: int) -> GraphClass:
     return class_from_edges(5 * copies, edges)
 
 
-@_claim(
-    "dominating-bounds",
-    "induced five-vertex subgraphs of the named 4-regular graphs have the "
-    "stated maximal number of dominating vertices",
-)
+@_claim("dominating-bounds")
 def _check_dominating(b: Bounds) -> tuple[bool, str]:
+    """induced five-vertex subgraphs of the named 4-regular graphs have the
+    stated maximal number of dominating vertices"""
     expected = {
         "quartic7-7tri": 1,
         "quartic7-6tri": 2,
@@ -381,12 +363,10 @@ def _check_dominating(b: Bounds) -> tuple[bool, str]:
 # ---------------------------------------------------------------------------
 # Graph-theoretic predicates.
 
-@_claim(
-    "palfy-oracle",
-    "the three-vertices-span-an-edge condition equals complement "
-    "triangle-freeness on all census graphs up to 8 vertices",
-)
+@_claim("palfy-oracle")
 def _check_palfy(b: Bounds) -> tuple[bool, str]:
+    """the three-vertices-span-an-edge condition equals complement
+    triangle-freeness on all census graphs up to 8 vertices"""
     primes = (2, 3, 5, 7, 11, 13, 17, 19)
     checked = 0
     for n in range(3, 9):
@@ -406,12 +386,10 @@ def _check_palfy(b: Bounds) -> tuple[bool, str]:
     return True, f"{checked} graphs checked"
 
 
-@_claim(
-    "product-join-bound",
-    "a product with a clique-spanning second factor has at least as many "
-    "complete vertices as that factor has vertices",
-)
+@_claim("product-join-bound")
 def _check_product_join(b: Bounds) -> tuple[bool, str]:
+    """a product with a clique-spanning second factor has at least as many
+    complete vertices as that factor has vertices"""
     if not b.product_trials:
         return _VACUOUS
     rng = random.Random(b.seed)
@@ -447,18 +425,17 @@ def _check_product_join(b: Bounds) -> tuple[bool, str]:
 # ---------------------------------------------------------------------------
 # Data integrity.
 
-@_claim("table-integrity", "every bundled degree table passes its order check")
+@_claim("table-integrity")
 def _check_tables(b: Bounds) -> tuple[bool, str]:
+    """every bundled degree table passes its order check"""
     names = bundled_table_names()  # loading each table checks its order
     return True, f"{len(names)} tables: {', '.join(names)}"
 
 
-@_claim(
-    "j1-data",
-    "the first Janko group: degree set, and every maximal-subgroup index "
-    "divisible by 2 or 19",
-)
+@_claim("j1-data")
 def _check_j1_data(b: Bounds) -> tuple[bool, str]:
+    """the first Janko group: degree set, and every maximal-subgroup index
+    divisible by 2 or 19"""
     table = degree_table("j1")
     degrees = tuple(table.degree_set)
     if degrees != (1, 56, 76, 77, 120, 133, 209):
@@ -472,12 +449,10 @@ def _check_j1_data(b: Bounds) -> tuple[bool, str]:
     return True, "7 maximal indices, each divisible by 2 or 19"
 
 
-@_claim(
-    "sz8-data",
-    "the smallest Suzuki group: maximal-subgroup index prime sets and "
-    "projective character degree factors",
-)
+@_claim("sz8-data")
 def _check_sz8_data(b: Bounds) -> tuple[bool, str]:
+    """the smallest Suzuki group: maximal-subgroup index prime sets and
+    projective character degree factors"""
     table = degree_table("sz8")
     if table.maximal_indices != (65, 560, 1456, 2080):
         return False, f"maximal indices {table.maximal_indices}"
@@ -490,11 +465,9 @@ def _check_sz8_data(b: Bounds) -> tuple[bool, str]:
     return True, "index prime sets and projective factors as expected"
 
 
-@_claim(
-    "j1-graph-degrees",
-    "vertex degrees of the first Janko group's graph",
-)
+@_claim("j1-graph-degrees")
 def _check_j1_degrees(b: Bounds) -> tuple[bool, str]:
+    """vertex degrees of the first Janko group's graph"""
     g = graph_of(GroupSpec.sporadic("j1"))
     want = {2: 4, 7: 3, 19: 3, 3: 2, 5: 2, 11: 2}
     got = {p: g.degree(p) for p in g.vertices}
@@ -503,11 +476,9 @@ def _check_j1_degrees(b: Bounds) -> tuple[bool, str]:
     return True, "deg(2)=4, deg(7)=deg(19)=3, deg(3)=deg(5)=deg(11)=2"
 
 
-@_claim(
-    "m11-graph-degrees",
-    "vertex degrees of the smallest Mathieu group's graph",
-)
+@_claim("m11-graph-degrees")
 def _check_m11_degrees(b: Bounds) -> tuple[bool, str]:
+    """vertex degrees of the smallest Mathieu group's graph"""
     g = graph_of(GroupSpec.sporadic("m11"))
     want = {2: 2, 11: 2, 5: 3, 3: 1}
     got = {p: g.degree(p) for p in g.vertices}
@@ -526,10 +497,9 @@ def claim_ids() -> tuple[str, ...]:
 def run_one(id: str, bounds: Bounds = Bounds()) -> ReportEntry:
     if id not in _REGISTRY:
         raise KeyError(f"unknown claim {id!r}")
-    claim = _REGISTRY[id]
     start = time.perf_counter()
     try:
-        ok, detail = claim.checker(bounds)
+        ok, detail = _REGISTRY[id](bounds)
     except Exception as exc:
         # A crashing claim is a failed claim, not a usage error.
         ok, detail = False, f"raised {exc!r}"

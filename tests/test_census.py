@@ -21,6 +21,7 @@ from primegraphs.census import (
     contains_clique,
     contains_subgraph,
     enumerate_regular,
+    enumerate_regular_oracle,
     is_vertex_transitive,
     max_dominating_in_induced,
     named,
@@ -382,6 +383,25 @@ def test_census_rejects_bad_parameters():
         enumerate_regular(11, 4)
 
 
+def test_oracle_rejects_bad_parameters():
+    for n, k in ((9, 4), (4, 4), (4, -1)):
+        with pytest.raises(ValueError) as exc:
+            enumerate_regular_oracle(n, k)
+        assert exc.value.args == ("oracle supports 0 <= k < n <= 8",)
+
+
+@pytest.mark.parametrize(
+    "edge, message",
+    [((1, 1), "bad edge 1-1 for 3 vertices"), ((0, 3), "bad edge 0-3 for 3 vertices"),
+     ((-1, 2), "bad edge -1-2 for 3 vertices")],
+    ids=["loop", "too-high", "negative"],
+)
+def test_rows_from_edges_rejects_a_bad_edge(edge, message):
+    with pytest.raises(ValueError) as exc:
+        rows_from_edges(3, [(0, 1), edge])
+    assert exc.value.args == (message,)
+
+
 def test_census_is_shared_and_errors_are_not_cached():
     # One immutable Census per (n, k) per process; a bad call raises every time.
     census = enumerate_regular(9, 4)
@@ -493,6 +513,30 @@ def test_failed_catalog_load_is_not_kept(monkeypatch, tmp_path):
         for _ in range(2):
             with pytest.raises(ValueError, match="octahedron is not 4-regular"):
                 catalog()
+    finally:
+        catalog.cache_clear()
+
+
+@pytest.mark.parametrize(
+    "lines, message",
+    [
+        # the edges of quartic7-6tri under the name of the 7-triangle graph
+        (["quartic7-7tri = 7 ; 0-1 1-2 2-3 4-5 6-5 3-4 6-0 2-0 2-6 1-4 1-5 3-0 3-5 6-4"],
+         "catalog graph quartic7-7tri has wrong triangle count"),
+        (["house = 5 ; 0-1 1-2 2-3 3-0 2-4 3-4"] * 2, "duplicate catalog name house"),
+    ],
+    ids=["triangles", "duplicate"],
+)
+def test_catalog_rejects_a_wrong_triangle_count_and_a_repeated_name(
+    monkeypatch, tmp_path, lines, message
+):
+    (tmp_path / "catalog.txt").write_text("\n".join(lines))
+    monkeypatch.setattr(census, "_DATA_DIR", tmp_path)
+    catalog.cache_clear()
+    try:
+        with pytest.raises(ValueError) as exc:
+            catalog()
+        assert exc.value.args == (message,)
     finally:
         catalog.cache_clear()
 

@@ -45,6 +45,12 @@ def test_graph_construction_validates():
         PrimeGraph([2, 3, 5], [(2, 3, 7)])
 
 
+def test_degree_of_a_non_vertex():
+    with pytest.raises(ValueError) as exc:
+        PrimeGraph([2, 3], [(2, 3)]).degree(5)
+    assert exc.value.args == ("5 is not a vertex",)
+
+
 def test_every_graph_is_built_through_init(monkeypatch):
     # graph_of and structural_graph build each graph exactly once, and
     # through the one constructor

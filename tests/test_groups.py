@@ -16,6 +16,7 @@ from primegraphs.arithmetic import MAX_SUPPORTED, factor, prime_set
 from primegraphs.groups import (
     LIE_FAMILIES,
     DegreeSet,
+    DegreeTable,
     Family,
     FourPrimeCase,
     GroupSpec,
@@ -397,6 +398,54 @@ def test_table_extras():
     sz8 = degree_table("sz8")
     assert sz8.maximal_indices == (65, 560, 1456, 2080)
     assert sz8.projective_factors == (40, 56, 64, 104)
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("degrees = 1:1, 56:2, 76:2, 77:3, 120:3, 133:3, 209:1",
+         "j1: repeated key 'degrees'"),
+        ("maximal_indice = 5", "j1: unknown key 'maximal_indice'"),
+    ],
+    ids=["repeated", "unknown"],
+)
+def test_table_keys_are_strict(monkeypatch, tmp_path, line, message):
+    # A repeated key would shadow its first value, and a misspelt
+    # `maximal_indices` would load as an empty tuple.
+    text = (groups._DATA_DIR / "j1.txt").read_text()
+    (tmp_path / "j1.txt").write_text(text + line + "\n")
+    monkeypatch.setattr(groups, "_DATA_DIR", tmp_path)
+    groups._tables.cache_clear()
+    try:
+        with pytest.raises(ValueError) as exc:
+            bundled_table_names()
+        assert exc.value.args == (message,)
+    finally:
+        groups._tables.cache_clear()
+
+
+def test_degree_table_order_mismatch():
+    with pytest.raises(ValueError) as exc:
+        DegreeTable("t", 61, ((1, 1), (2, 1), (3, 1), (4, 1), (5, 1)))
+    assert exc.value.args == ("t: sum of multiplicity*degree^2 is 55, expected order 61",)
+
+
+def test_degree_table_without_degree_1():
+    with pytest.raises(ValueError) as exc:
+        DegreeTable("t", 4, ((2, 1),))
+    assert exc.value.args == ("t: degree 1 missing",)
+
+
+def test_spec_name_outside_the_sporadic_family():
+    with pytest.raises(ValueError) as exc:
+        GroupSpec(Family.PSL2, 7, name="j1")
+    assert exc.value.args == ("name is only valid for sporadic groups",)
+
+
+def test_spec_without_a_parameter():
+    with pytest.raises(ValueError) as exc:
+        GroupSpec(Family.PSL2)
+    assert exc.value.args == ("psl2 requires a parameter",)
 
 
 def test_canonical_keys_fold_aliases():

@@ -4,7 +4,7 @@ from dataclasses import replace
 import pytest
 
 from primegraphs import census, prime_graph, verify
-from primegraphs.arithmetic import MAX_SUPPORTED
+from primegraphs.arithmetic import MAX_SUPPORTED, prime_set
 from primegraphs.census import (
     complete_class,
     contains_clique,
@@ -13,8 +13,14 @@ from primegraphs.census import (
     named,
 )
 from primegraphs.cli import main
-from primegraphs.groups import Family, family_specs, prime_set_of_group
-from primegraphs.prime_graph import graph_of
+from primegraphs.groups import (
+    Family,
+    FourPrimeCase,
+    GroupSpec,
+    family_specs,
+    prime_set_of_group,
+)
+from primegraphs.prime_graph import PrimeGraph, graph_of
 from primegraphs.verify import MAX_SIEVED_BOUND, Bounds, claim_ids, run_all, run_one
 
 SMALL = Bounds(psl2_max=500, suzuki_max=2**9, psl3_max=50, psu3_max=50,
@@ -48,7 +54,7 @@ def test_raising_claim_fails(monkeypatch, capsys):
     def boom(b):
         raise ValueError("boom")
 
-    monkeypatch.setitem(verify._REGISTRY, "boom", verify.Claim("boom", "raises", boom))
+    monkeypatch.setitem(verify._REGISTRY, "boom", boom)
     entry = run_one("boom", SMALL)
     assert (entry.status, entry.detail) == ("fail", "raised ValueError('boom')")
     assert main(["verify", "--only", "boom"]) == 1
@@ -72,6 +78,39 @@ def test_k4_count_claims_check_the_census_size(monkeypatch, cid, n, size):
     monkeypatch.setattr(verify, "enumerate_regular", losing_a_k4_free_class)
     entry = run_one(cid, SMALL)
     assert (entry.status, entry.detail) == ("fail", f"census size {size - 1}")
+
+
+@pytest.mark.parametrize(
+    "cid, name, key, value, detail",
+    [
+        ("regular-implies-complete", "graph_of", GroupSpec.psl2(7),
+         PrimeGraph([2, 3, 5, 7], [(2, 3), (5, 7)]),
+         "witness: psl2 7 with edges ((2, 3), (5, 7))"),
+        ("structural-agreement", "structural_graph", GroupSpec.psl2(13),
+         PrimeGraph([2, 3, 7, 13], []), "witness: psl2 13"),
+        ("pentagon-shapes", "named", "pentagon-paw", named("house"),
+         "witness: psl2 29 with shape edges ((1, 4), (2, 3), (2, 4), (3, 4))"),
+        ("three-prime-groups", "prime_set_of_group", GroupSpec.psl2(8),
+         prime_set(3 * 7 * 13), "witness: psl2 8 with primes (3, 7, 13)"),
+        ("three-prime-groups", "canonical_key", GroupSpec.psl2(8), "psl2_9",
+         "found ['a5', 'a6', 'psl2_17', 'psl2_7', 'psl2_9', 'psl3_3', 'psu3_3'], "
+         "expected ['a5', 'a6', 'psl2_17', 'psl2_7', 'psl2_8', 'psl3_3', 'psu3_3']"),
+        ("four-prime-psl2-cases", "classify_four_prime_psl2", GroupSpec.psl2(32),
+         FourPrimeCase.CASE_R, "witness: psl2 32 misclassified as largest-prime case"),
+        ("four-prime-psl2-cases", "classify_four_prime_psl2", GroupSpec.psl2(11),
+         FourPrimeCase.CASE_MERSENNE, "witness: psl2 11 misclassified as Mersenne case"),
+        ("four-prime-psl2-cases", "classify_four_prime_psl2", GroupSpec.psl2(11),
+         FourPrimeCase.NONE, "witness: psl2 11 gave none, expected r"),
+    ],
+    ids=["regular", "structural", "pentagon", "three-prime-witness", "three-prime-set",
+         "four-prime-r", "four-prime-mersenne", "four-prime-anchor"],
+)
+def test_sweep_claims_report_their_witness(monkeypatch, cid, name, key, value, detail):
+    # One item of the sweep breaks: the claim fails and names that item.
+    real = getattr(verify, name)
+    monkeypatch.setattr(verify, name, lambda arg: value if arg == key else real(arg))
+    entry = run_one(cid, SMALL)
+    assert (entry.status, entry.detail) == ("fail", detail)
 
 
 def test_report_is_deterministic(small_report):
