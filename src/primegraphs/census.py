@@ -59,9 +59,14 @@ the lowest-indexed members of each class are kept.  A transposition within
 a class is an automorphism of the partial graph fixing rows 0..v, so every
 isomorphism class keeps a labeling.  The survivors are reduced to classes
 by an invariant prescreen plus isomorphism tests, and each class is
-canonicalized once.  One embedding search decides both the isomorphism
-tests and the subgraph tests: between graphs with equal vertex and edge
-counts, an injection taking edges onto edges is an isomorphism.
+canonicalized once.  The prescreen is the sorted triangle counts at the
+vertices and on the edges, read in one pass over the edges.  One embedding
+search decides both the isomorphism tests and the subgraph tests: between
+graphs with equal vertex and edge counts, an injection taking edges onto
+edges is an isomorphism.  The caller gives each vertex its candidate
+images: an isomorphism test lets a vertex map only to vertices with its
+triangle count, which an isomorphism keeps, and a subgraph test to
+vertices of at least its degree.
 """
 
 from __future__ import annotations
@@ -370,33 +375,38 @@ def class_from_edges(n: int, edges) -> GraphClass:
 # search for an injection that maps edges onto edges; the embedding tests
 # take a GraphClass or a PrimeGraph (anything with `n` and `rows`).
 
-def _vertex_triangles(rows: Rows) -> tuple[int, ...]:
-    n = len(rows)
-    return tuple(
-        sum(
-            (rows[v] & rows[w]).bit_count()
-            for w in range(n)
-            if rows[v] >> w & 1
-        )
-        // 2
-        for v in range(n)
-    )
+def _triangles(rows: Rows) -> tuple[list[int], list[int]]:
+    """The triangles on each edge, its endpoints' common-neighbour count, in
+    `edges_from_rows` order, and the triangles at each vertex: half the sum
+    of the counts on its edges, as each triangle at v holds two of them.
+    One pass over the edges."""
+    on_edge: list[int] = []
+    at_vertex = [0] * len(rows)
+    for v, row in enumerate(rows):
+        later = row >> v + 1 << v + 1  # the neighbours above v
+        while later:
+            low = later & -later
+            later ^= low
+            w = low.bit_length() - 1
+            common = (row & rows[w]).bit_count()
+            on_edge.append(common)
+            at_vertex[v] += common
+            at_vertex[w] += common
+    return on_edge, [t // 2 for t in at_vertex]
 
 
-def _search(a: Rows, b: Rows) -> bool:
-    """Whether some injection of a's vertices into b's sends each vertex to
-    one of at least its degree and every edge of a onto an edge of b.
+def _search(a: Rows, b: Rows, fits: list[int]) -> bool:
+    """Whether some injection of a's vertices into b's sends each vertex v
+    into the caller's mask fits[v] and every edge of a onto an edge of b.
+    A mask may leave out only images that no injection the caller looks for
+    uses: `_embeds` passes the vertices of at least v's degree, and
+    `_find_isomorphism` those with v's triangle count.
 
     Vertices of a are placed in index order.  Vertex v's candidates are one
-    mask: b's vertices whose degree fits v, less the images already used,
-    within b's row at the image of each earlier neighbour of v.
+    mask: fits[v], less the images already used, within b's row at the
+    image of each earlier neighbour of v.
     """
     m = len(a)
-    degrees = [row.bit_count() for row in b]
-    fits = [
-        sum(1 << w for w, d in enumerate(degrees) if d >= row.bit_count())
-        for row in a
-    ]
     at = [0] * m  # b's row at the image of each placed vertex
 
     def extend(v: int, used: int) -> bool:
@@ -423,12 +433,29 @@ def _find_isomorphism(a: Rows, b: Rows) -> bool:
     """Whether a and b are isomorphic, given equal vertex and edge counts:
     the census dedup compares only graphs with equal `_edge_invariant`,
     whose second component has one entry per edge.  Then a bijection
-    taking edges onto edges takes non-edges onto non-edges too."""
-    return _search(a, b)
+    taking edges onto edges takes non-edges onto non-edges too, so it is an
+    isomorphism.  An isomorphism keeps each vertex's triangle count, so a
+    vertex of a is tried only on the vertices of b with its count."""
+    _, tri_a = _triangles(a)
+    _, tri_b = _triangles(b)
+    with_count: dict[int, int] = {}
+    for w, t in enumerate(tri_b):
+        with_count[t] = with_count.get(t, 0) | 1 << w
+    return _search(a, b, [with_count.get(t, 0) for t in tri_a])
 
 
 def _embeds(small, big) -> bool:
-    return len(small.rows) <= len(big.rows) and _search(small.rows, big.rows)
+    """Whether small embeds into big, each vertex onto one of at least its
+    degree."""
+    a, b = small.rows, big.rows
+    if len(a) > len(b):
+        return False
+    degrees = [row.bit_count() for row in b]
+    fits = [
+        sum(1 << w for w, d in enumerate(degrees) if d >= row.bit_count())
+        for row in a
+    ]
+    return _search(a, b, fits)
 
 
 def contains_subgraph(g, h) -> bool:
@@ -448,7 +475,7 @@ def complete_class(k: int) -> GraphClass:
 
 
 def triangle_count(g) -> int:
-    return sum(_vertex_triangles(g.rows)) // 3
+    return sum(_triangles(g.rows)[1]) // 3
 
 
 def is_vertex_transitive(g: GraphClass) -> bool:
@@ -568,14 +595,9 @@ def _labeled_regular(n: int, k: int, prune: bool) -> Iterator[Rows]:
 
 
 def _edge_invariant(rows: Rows) -> tuple:
-    n = len(rows)
-    common = sorted(
-        (rows[v] & rows[w]).bit_count()
-        for v in range(n)
-        for w in range(v + 1, n)
-        if rows[v] >> w & 1
-    )
-    return (tuple(sorted(_vertex_triangles(rows))), tuple(common))
+    """The sorted triangle counts at the vertices and on the edges."""
+    on_edge, at_vertex = _triangles(rows)
+    return (tuple(sorted(at_vertex)), tuple(sorted(on_edge)))
 
 
 def enumerate_regular(n: int, k: int) -> Census:
@@ -592,9 +614,12 @@ def enumerate_regular(n: int, k: int) -> Census:
     lowest-indexed members of every class of candidates with equal
     adjacency to the rows already filled; swapping two members of a class
     is an automorphism of the partial graph, so no isomorphism class is
-    lost.  They are reduced to classes by an invariant prescreen plus
-    isomorphism tests, made by the embedding search that also answers
-    `contains_subgraph`; only new classes are canonicalized.
+    lost.  They are reduced to classes by an invariant prescreen, the
+    sorted triangle counts at the vertices and on the edges, plus
+    isomorphism tests within each bucket.  A test is made by the embedding
+    search that also answers `contains_subgraph`, with each vertex's images
+    restricted to the vertices with its triangle count; only new classes
+    are canonicalized.
     Correctness is anchored by the independent, unpruned oracle below.
     """
     return _census(operator.index(n), operator.index(k))

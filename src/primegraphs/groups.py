@@ -311,6 +311,9 @@ def _load_table(path: Path) -> DegreeTable:
         if key in fields:
             raise ValueError(f"{path.stem}: repeated key {key!r}")
         fields[key] = value.strip()
+    for key in ("order", "degrees"):
+        if key not in fields:
+            raise ValueError(f"{path.stem}: missing key {key!r}")
     degrees = tuple(
         (int(d), int(m))
         for d, m in (tok.split(":") for tok in fields["degrees"].split(","))

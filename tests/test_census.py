@@ -561,6 +561,70 @@ def test_triangle_counts():
     assert triangle_count(named("quartic7-6tri")) == 6
 
 
+def triangles_by_triples(n, edges):
+    # Every vertex triple whose three pairs are edges.
+    edge_set = set(edges)
+    return [
+        t for t in combinations(range(n), 3)
+        if all(pair in edge_set for pair in combinations(t, 2))
+    ]
+
+
+def triangles_at_vertices(rows):
+    n = len(rows)
+    triangles = triangles_by_triples(n, GraphClass(rows).edges())
+    return [sum(v in t for t in triangles) for v in range(n)]
+
+
+@pytest.mark.parametrize("density", [0.1, 0.3, 0.5, 0.7, 0.9])
+def test_triangle_counts_match_triple_enumeration(density):
+    rng = random.Random(round(density * 10))
+    for _ in range(100):
+        n = rng.randint(0, 10)
+        edges = [e for e in combinations(range(n), 2) if rng.random() < density]
+        rows = rows_from_edges(n, edges)
+        triangles = triangles_by_triples(n, edges)
+        assert triangle_count(GraphClass(rows)) == len(triangles)
+        on_edge, at_vertex = census._triangles(rows)
+        assert at_vertex == [sum(v in t for t in triangles) for v in range(n)]
+        assert on_edge == [
+            sum(v in t and w in t for t in triangles) for v, w in edges
+        ]
+
+
+def test_isomorphism_tests_try_only_images_with_equal_triangle_counts(monkeypatch):
+    calls = []
+    search = census._search
+
+    def recording_search(a, b, fits):
+        calls.append((a, b, fits))
+        return search(a, b, fits)
+
+    monkeypatch.setattr(census, "_search", recording_search)
+    census._census.cache_clear()
+    try:
+        assert len(enumerate_regular(9, 4)) == 16
+    finally:
+        census._census.cache_clear()
+    # The dedup reaches the search only through _find_isomorphism.
+    assert calls
+    narrowed = False
+    for a, b, fits in calls:
+        at_a, at_b = triangles_at_vertices(a), triangles_at_vertices(b)
+        assert fits == [
+            sum(1 << w for w in range(9) if at_b[w] == at_a[v]) for v in range(9)
+        ]
+        narrowed |= any(mask != (1 << 9) - 1 for mask in fits)
+    assert narrowed
+    # The embedding tests keep their degree masks: a K3 vertex may go to
+    # any vertex of degree 2 or more, here 0-3 but not the tail's end 4.
+    calls.clear()
+    tailed = GraphClass(rows_from_edges(5, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4)]))
+    assert contains_clique(tailed, 3)
+    [(_, _, fits)] = calls
+    assert fits == [0b01111] * 3
+
+
 def test_vertex_transitivity():
     assert is_vertex_transitive(named("quartic7-7tri"))
     assert not is_vertex_transitive(named("house"))

@@ -401,24 +401,35 @@ def test_table_extras():
 
 
 @pytest.mark.parametrize(
-    "line, message",
+    "drop, line, message",
     [
-        ("degrees = 1:1, 56:2, 76:2, 77:3, 120:3, 133:3, 209:1",
+        (None, "degrees = 1:1, 56:2, 76:2, 77:3, 120:3, 133:3, 209:1",
          "j1: repeated key 'degrees'"),
-        ("maximal_indice = 5", "j1: unknown key 'maximal_indice'"),
+        (None, "maximal_indice = 5", "j1: unknown key 'maximal_indice'"),
+        ("order", "", "j1: missing key 'order'"),
+        ("degrees", "", "j1: missing key 'degrees'"),
     ],
-    ids=["repeated", "unknown"],
+    ids=["repeated", "unknown", "missing-order", "missing-degrees"],
 )
-def test_table_keys_are_strict(monkeypatch, tmp_path, line, message):
-    # A repeated key would shadow its first value, and a misspelt
-    # `maximal_indices` would load as an empty tuple.
-    text = (groups._DATA_DIR / "j1.txt").read_text()
-    (tmp_path / "j1.txt").write_text(text + line + "\n")
+def test_table_keys_are_strict(monkeypatch, tmp_path, drop, line, message):
+    # A repeated key would shadow its first value, a misspelt
+    # `maximal_indices` would load as an empty tuple, and a missing required
+    # key must not surface as a bare KeyError, which `degree_table` would
+    # report as a table that is not bundled.
+    lines = [
+        kept
+        for kept in (groups._DATA_DIR / "j1.txt").read_text().splitlines()
+        if kept.partition("=")[0].strip() != drop
+    ]
+    (tmp_path / "j1.txt").write_text("\n".join([*lines, line]) + "\n")
     monkeypatch.setattr(groups, "_DATA_DIR", tmp_path)
     groups._tables.cache_clear()
     try:
         with pytest.raises(ValueError) as exc:
             bundled_table_names()
+        assert exc.value.args == (message,)
+        with pytest.raises(ValueError) as exc:
+            degree_table("j1")
         assert exc.value.args == (message,)
     finally:
         groups._tables.cache_clear()
