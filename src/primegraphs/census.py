@@ -23,9 +23,10 @@ chunk, and the packing is one-to-one, so two prefixes with equal keys have
 equal chunk maps and identical continuations.  Such prefixes and twin
 vertices are collapsed to keep the frontier small.
 
-Roots are taken one at a time, one per twin class, in vertex order; the
-first is searched in full, and three rules keep the result the lex-min
-form while searching few of the rest:
+Roots are taken one at a time, in vertex order: a vertex is a root when
+it is the smallest of its orbit class as the loop reaches it.  The first
+is searched in full, and three rules keep the result the lex-min form
+while searching few of the rest:
 - Bound by probe.  A later root is first probed depth-first, along the
   prefixes whose chunks equal the best code so far (the bound), with the
   same narrowing pass, twin filter and prefix keys (a seen-set in place of
@@ -36,10 +37,13 @@ form while searching few of the rest:
   matrix, so mapping one onto the other position by position is an
   automorphism; so are the map between two merged prefixes (identity on
   the unplaced vertices) and a swap of twins.  Their vertex pairs are
-  united into an orbit partition, and a root in the orbit of a searched
-  or probed root is skipped: an automorphism g maps the orderings from u
-  onto orderings from g(u) with the same chunks, so g(u) reaches nothing
-  new.
+  united into an orbit partition, whose classes are named by their
+  smallest vertex; a twin starts in the class of an earlier vertex.  A
+  vertex whose class holds a smaller one is skipped: that smaller vertex
+  was reached first and is a root or was skipped for the same reason, so
+  the class holds a searched or probed root u, and an automorphism g maps
+  the orderings from u onto orderings from g(u) with the same chunks, so
+  g(u) reaches nothing new.
 - Tie probe.  A root that ties the bound lies in the best root's orbit,
   and the probe's first full ordering with the bound's chunks is enough
   to unite the two; a search would carry every tied prefix to the last
@@ -60,13 +64,14 @@ a class is an automorphism of the partial graph fixing rows 0..v, so every
 isomorphism class keeps a labeling.  The survivors are reduced to classes
 by an invariant prescreen plus isomorphism tests, and each class is
 canonicalized once.  The prescreen is the sorted triangle counts at the
-vertices and on the edges, read in one pass over the edges.  One embedding
-search decides both the isomorphism tests and the subgraph tests: between
-graphs with equal vertex and edge counts, an injection taking edges onto
-edges is an isomorphism.  The caller gives each vertex its candidate
-images: an isomorphism test lets a vertex map only to vertices with its
-triangle count, which an isomorphism keeps, and a subgraph test to
-vertices of at least its degree.
+vertices and on the edges, read in one pass over the edges, once per
+labeling; the isomorphism tests take the counts at the vertices from that
+same pass.  One embedding search decides both the isomorphism tests and
+the subgraph tests: between graphs with equal vertex and edge counts, an
+injection taking edges onto edges is an isomorphism.  The caller gives
+each vertex its candidate images: an isomorphism test lets a vertex map
+only to vertices with its triangle count, which an isomorphism keeps, and
+a subgraph test to vertices of at least its degree.
 """
 
 from __future__ import annotations
@@ -287,15 +292,16 @@ def _tie_probe(rows: Rows, root: int, bound: tuple[int, ...]) -> tuple | str | N
 
 
 def _canonical_search(rows: Rows) -> tuple[tuple[int, ...], Callable]:
-    """The canonical chunks, and the find of the orbit partition.  The first
-    root is searched; each later root outside the classes already searched
-    or probed is probed against the best code, and searched only when it
-    beats it."""
+    """The canonical chunks, and the find of the orbit partition, which
+    names each class by its smallest vertex.  A vertex is a root when it is
+    the smallest of its class as the loop reaches it: the first is searched,
+    and each later one is probed against the best code and searched only
+    when it beats it."""
     n = len(rows)
-    # The roots are one vertex per twin class, as at every later level, and
-    # a twin starts in its root's orbit: swapping twins is an automorphism.
+    # A twin starts in the class of the first vertex of its twin class, so
+    # it is never a root, as `_extensions` skips twins at every later level:
+    # swapping twins is an automorphism.
     orbit = list(range(n))  # union-find parents of the orbit partition
-    roots: list[int] = []
     closed_seen: dict[int, int] = {}
     open_seen: dict[int, int] = {}
     for v, row in enumerate(rows):
@@ -303,9 +309,6 @@ def _canonical_search(rows: Rows) -> tuple[tuple[int, ...], Callable]:
         orbit[v] = closed_seen.get(closed, open_seen.get(row, v))
         if orbit[v] == v:
             closed_seen[closed] = open_seen[row] = v
-            roots.append(v)
-    # searched[r]: a root in representative r's class was searched or probed.
-    searched = [False] * n
 
     def find(v: int) -> int:
         while orbit[v] != v:
@@ -322,17 +325,17 @@ def _canonical_search(rows: Rows) -> tuple[tuple[int, ...], Callable]:
             a, u = a  # type: ignore[misc]
             b, w = b  # type: ignore[misc]
             ru, rw = find(u), find(w)
-            if ru != rw:
+            if ru > rw:
                 orbit[ru] = rw
-                searched[rw] = searched[rw] or searched[ru]
+            elif ru < rw:
+                orbit[rw] = ru
 
     best: Optional[tuple[int, ...]] = None
     best_link = None
-    for root in roots:
-        cls = find(root)
-        if searched[cls]:
+    for root in range(n):
+        # A twin, or a vertex in the class of an earlier root, is skipped.
+        if find(root) != root:
             continue
-        searched[cls] = True
         if best is not None:
             # One ordering that ties unites the root with the best one; a
             # root that the bound cuts reaches nothing new.
@@ -429,15 +432,15 @@ def _search(a: Rows, b: Rows, fits: list[int]) -> bool:
     return extend(0, 0)
 
 
-def _find_isomorphism(a: Rows, b: Rows) -> bool:
-    """Whether a and b are isomorphic, given equal vertex and edge counts:
-    the census dedup compares only graphs with equal `_edge_invariant`,
-    whose second component has one entry per edge.  Then a bijection
-    taking edges onto edges takes non-edges onto non-edges too, so it is an
-    isomorphism.  An isomorphism keeps each vertex's triangle count, so a
-    vertex of a is tried only on the vertices of b with its count."""
-    _, tri_a = _triangles(a)
-    _, tri_b = _triangles(b)
+def _find_isomorphism(a: Rows, b: Rows, tri_a: list[int], tri_b: list[int]) -> bool:
+    """Whether a and b are isomorphic, given equal vertex and edge counts
+    and each graph's triangles at its vertices: the census dedup compares
+    only graphs with equal `_edge_invariant`, whose key has one entry per
+    edge, and passes the counts from that same `_triangles` pass.  Then a
+    bijection taking edges onto edges takes non-edges onto non-edges too,
+    so it is an isomorphism.  An isomorphism keeps each vertex's triangle
+    count, so a vertex of a is tried only on the vertices of b with its
+    count."""
     with_count: dict[int, int] = {}
     for w, t in enumerate(tri_b):
         with_count[t] = with_count.get(t, 0) | 1 << w
@@ -594,10 +597,12 @@ def _labeled_regular(n: int, k: int, prune: bool) -> Iterator[Rows]:
     yield from fill(0)
 
 
-def _edge_invariant(rows: Rows) -> tuple:
-    """The sorted triangle counts at the vertices and on the edges."""
+def _edge_invariant(rows: Rows) -> tuple[tuple, list[int]]:
+    """The dedup's bucket key, the sorted triangle counts at the vertices
+    and on the edges, and the triangles at each vertex, which
+    `_find_isomorphism` takes: one `_triangles` pass gives both."""
     on_edge, at_vertex = _triangles(rows)
-    return (tuple(sorted(at_vertex)), tuple(sorted(on_edge)))
+    return (tuple(sorted(at_vertex)), tuple(sorted(on_edge))), at_vertex
 
 
 def enumerate_regular(n: int, k: int) -> Census:
@@ -616,10 +621,12 @@ def enumerate_regular(n: int, k: int) -> Census:
     is an automorphism of the partial graph, so no isomorphism class is
     lost.  They are reduced to classes by an invariant prescreen, the
     sorted triangle counts at the vertices and on the edges, plus
-    isomorphism tests within each bucket.  A test is made by the embedding
-    search that also answers `contains_subgraph`, with each vertex's images
-    restricted to the vertices with its triangle count; only new classes
-    are canonicalized.
+    isomorphism tests within each bucket.  One pass over each labeling's
+    edges gives both its key and its triangles at each vertex, and each
+    bucket keeps its representatives with those counts.  A test is made by
+    the embedding search that also answers `contains_subgraph`, with each
+    vertex's images restricted to the vertices with its triangle count;
+    only new classes are canonicalized.
     Correctness is anchored by the independent, unpruned oracle below.
     """
     return _census(operator.index(n), operator.index(k))
@@ -633,15 +640,13 @@ def _census(n: int, k: int) -> Census:
         raise ValueError(f"graphs above {MAX_VERTICES} vertices are not supported")
     if n * k % 2:
         return Census(n, k, ())
-    buckets: dict[tuple, list[Rows]] = {}
+    buckets: dict[tuple, list[tuple[Rows, list[int]]]] = {}
     for rows in _labeled_regular(n, k, prune=True):
-        inv = _edge_invariant(rows)
+        inv, tri = _edge_invariant(rows)
         reps = buckets.setdefault(inv, [])
-        if not any(_find_isomorphism(rows, rep) for rep in reps):
-            reps.append(rows)
-    classes = sorted(
-        canonicalize(rep) for reps in buckets.values() for rep in reps
-    )
+        if not any(_find_isomorphism(rows, rep, tri, rep_tri) for rep, rep_tri in reps):
+            reps.append((rows, tri))
+    classes = sorted(canonicalize(rep) for reps in buckets.values() for rep, _ in reps)
     return Census(n, k, tuple(classes))
 
 

@@ -33,7 +33,6 @@ from .census import (
 )
 from .groups import (
     LIE_FAMILIES,
-    MAX_SIEVED_BOUND,  # the PSL2 sweep cap, importable from here too
     Family,
     FourPrimeCase,
     GroupSpec,

@@ -294,6 +294,23 @@ def test_a_root_the_bound_cuts_skips_its_orbit(monkeypatch):
     assert searched_roots(monkeypatch, rows) == [0, 1, 2]
 
 
+def test_each_orbit_class_is_named_by_its_smallest_vertex():
+    # The root loop takes a vertex exactly when it names its class, so the
+    # partition's representatives must be the smallest vertices.
+    rng = random.Random(3)
+    graphs = [rows for _, rows in SYMMETRIC.values()]
+    for _ in range(2000):
+        n = rng.randint(1, 10)
+        density = rng.random()
+        edges = [e for e in combinations(range(n), 2) if rng.random() < density]
+        graphs.append(rows_from_edges(n, edges))
+    for rows in graphs:
+        _, find = census._canonical_search(rows)
+        reps = [find(v) for v in range(len(rows))]
+        for v, rep in enumerate(reps):
+            assert rep == reps.index(rep), (rows, v)
+
+
 def test_every_tie_probe_outcome_reaches_the_brute_force_minimum(monkeypatch):
     # Among the graphs on 5 vertices the tie probe meets all three outcomes:
     # a tie, a root that beats the bound and a root that the bound cuts.
@@ -492,12 +509,14 @@ def test_isomorphism_tests_in_each_invariant_bucket_match_canonical_forms():
         for k in range(n):
             buckets = {}
             for rows in _labeled_regular(n, k, prune=True):
-                buckets.setdefault(_edge_invariant(rows), []).append(rows)
+                key, tri = _edge_invariant(rows)
+                buckets.setdefault(key, []).append((rows, tri))
             for bucket in buckets.values():
-                forms = [canonicalize(rows) for rows in bucket]
+                forms = [canonicalize(rows) for rows, _ in bucket]
                 for i, j in combinations(range(len(bucket)), 2):
+                    (a, tri_a), (b, tri_b) = bucket[i], bucket[j]
                     same = forms[i] == forms[j]
-                    assert _find_isomorphism(bucket[i], bucket[j]) == same, (n, k)
+                    assert _find_isomorphism(a, b, tri_a, tri_b) == same, (n, k)
                     pairs += 1
                     distinct += not same
     assert (pairs, distinct) == (3788, 6)
@@ -590,6 +609,26 @@ def test_triangle_counts_match_triple_enumeration(density):
         assert on_edge == [
             sum(v in t and w in t for t in triangles) for v, w in edges
         ]
+
+
+def test_each_labeling_has_its_triangles_counted_once(monkeypatch):
+    # The dedup's key and its isomorphism tests read one pass per labeling.
+    calls = []
+    triangles = census._triangles
+
+    def counting(rows):
+        calls.append(rows)
+        return triangles(rows)
+
+    monkeypatch.setattr(census, "_triangles", counting)
+    census._census.cache_clear()
+    try:
+        assert len(enumerate_regular(9, 4)) == 16
+    finally:
+        census._census.cache_clear()
+    labelings = list(_labeled_regular(9, 4, prune=True))
+    assert calls == labelings
+    assert len(calls) == 268
 
 
 def test_isomorphism_tests_try_only_images_with_equal_triangle_counts(monkeypatch):

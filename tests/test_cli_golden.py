@@ -3,7 +3,8 @@
 Each command group runs a fixed list of `primegraphs` commands in process
 and hashes, per command, its arguments, exit code, stdout and stderr.  The
 expected hashes were recorded from the edge-tuple `PrimeGraph`, before the
-graph core moved onto bitmask rows; any change to CLI output, intended or
+graph core moved onto bitmask rows (the n = 9 and 10 census cells later,
+from the triangle-count dedup); any change to CLI output, intended or
 not, shows up here as the name of the group that moved.
 
 To print the current hashes (after an intended output change):
@@ -26,6 +27,7 @@ GOLDEN = {
     "product": "d01894c5b081bdead18dd05335d2bb4092754d37e71dccd0a639f8b069d5dfa9",
     "catalog": "bf5c19a3248c95771e97ccb456080d49fa3eb49066ade82cdd584feafe761751",
     "enum": "4d1777eaf0fd048030187f7f212e1444db8be32a1defa911b3151fda4339a482",
+    "enum-9-10": "54bb6fec04814f5bfd96e50f9f84aa07663931f3ee0f2e33bd3a8e694115a003",
     "verify": "ffef4c73a0fa307fea06e7596d0dbc801af597b12c549b7ab57ed163573750cd",
 }
 
@@ -57,6 +59,13 @@ def _commands(group: str) -> list[list[str]]:
         return [
             ["enum", "--n", str(n), "--k", str(k), "--stats"]
             for n in range(1, 9)
+            for k in range(n)
+        ]
+    if group == "enum-9-10":
+        # Every census cell at n = 9 and 10, each with its --stats flags.
+        return [
+            ["enum", "--n", str(n), "--k", str(k), "--stats"]
+            for n in (9, 10)
             for k in range(n)
         ]
     assert group == "verify"

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from primegraphs.census import (
     _find_isomorphism,
+    _triangles,
     class_from_edges,
     contains_subgraph,
     rows_from_edges,
@@ -131,7 +132,8 @@ def brute_isomorphic(n, a_edges, b_edges):
 @settings(max_examples=300, deadline=None)
 def test_isomorphism_matches_brute_force_over_permutations(case):
     n, edges, other = case
-    found = _find_isomorphism(rows_from_edges(n, edges), rows_from_edges(n, other))
+    a, b = rows_from_edges(n, edges), rows_from_edges(n, other)
+    found = _find_isomorphism(a, b, _triangles(a)[1], _triangles(b)[1])
     assert found == brute_isomorphic(n, edges, other)
 
 

@@ -14,6 +14,7 @@ from primegraphs.census import (
 )
 from primegraphs.cli import main
 from primegraphs.groups import (
+    MAX_SIEVED_BOUND,
     Family,
     FourPrimeCase,
     GroupSpec,
@@ -21,7 +22,7 @@ from primegraphs.groups import (
     prime_set_of_group,
 )
 from primegraphs.prime_graph import PrimeGraph, graph_of
-from primegraphs.verify import MAX_SIEVED_BOUND, Bounds, claim_ids, run_all, run_one
+from primegraphs.verify import Bounds, claim_ids, run_all, run_one
 
 SMALL = Bounds(psl2_max=500, suzuki_max=2**9, psl3_max=50, psu3_max=50,
                product_trials=50)
