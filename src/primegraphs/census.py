@@ -17,11 +17,12 @@ adjacency rows restricted to that mask, packed n bits per slice, the i-th
 placed vertex's row at bits n*i to n*i + n - 1.  Extending a prefix by v
 clears bit v of every slice at once, masking with 1 << v times the sum of
 the slices' lowest bits, and puts v's row above them; one narrowing pass
-over the slices yields a prefix's smallest chunk and the vertices that
-reach it.  Bit j of slice i is bit i (from the top) of unplaced vertex j's
-chunk, and the packing is one-to-one, so two prefixes with equal keys have
-equal chunk maps and identical continuations.  Such prefixes and twin
-vertices are collapsed to keep the frontier small.
+over the slices, inline in both search loops, yields a prefix's smallest
+chunk and the vertices that reach it.  Bit j of slice i is bit i (from the
+top) of unplaced vertex j's chunk, and the packing is one-to-one, so two
+prefixes with equal keys have equal chunk maps and identical
+continuations.  Such prefixes and twin vertices are collapsed to keep the
+frontier small.
 
 Roots are taken one at a time, in vertex order: a vertex is a root when
 it is the smallest of its orbit class as the loop reaches it.  The first
@@ -159,47 +160,29 @@ def _layout(n: int) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
     return tuple(rep), tuple(shifts)
 
 
-def _narrow(unplaced: int, packed: int, shifts: tuple[int, ...]) -> tuple[int, int]:
-    """A prefix's smallest next chunk, and the mask of the vertices that
-    reach it: at each slice keep the candidates not adjacent to that placed
-    vertex, if any.  A shifted `packed` keeps the later slices above bit n;
-    they need no mask, as the candidates lie below it."""
-    cand = unplaced
-    chunk = 0
-    for shift in shifts:
-        nonadj = cand & ~(packed >> shift)
-        if nonadj:
-            cand = nonadj
-            chunk <<= 1
-        else:
-            chunk = chunk << 1 | 1
-    return chunk, cand
-
-
 def _extensions(
     rows: Rows, unplaced: int, packed: int, cand: int, rep: int, top: int
 ) -> list[tuple[int, tuple[int, int]]]:
     """(vertex, key of the extended prefix) for one candidate per twin class
     (identical adjacency to the other unplaced vertices, ignoring the pair
     itself), the lowest-indexed first.  `rep` sets bit 0 of every placed
-    slice, and the new slice goes at bit `top`."""
-    if not cand & (cand - 1):  # a single candidate, the usual case
-        rest = unplaced ^ cand
-        v = cand.bit_length() - 1
-        return [(v, (rest, packed & ~(cand * rep) | (rows[v] & rest) << top))]
+    slice, and the new slice goes at bit `top`.  Both searches build a lone
+    candidate's key themselves.  One seen-set holds the open and closed
+    neighbourhoods within `unplaced`: an open one N(u) never equals another
+    candidate's closed one N[v], as v in N(u) would put u in N[v] = N(u),
+    making u its own neighbour."""
     out = []
-    closed_seen: set[int] = set()
-    open_seen: set[int] = set()
+    seen: set[int] = set()
     while cand:
         low = cand & -cand
         cand ^= low
         v = low.bit_length() - 1
         open_ = rows[v] & unplaced
         closed = open_ | low
-        if closed in closed_seen or open_ in open_seen:
+        if closed in seen or open_ in seen:
             continue
-        closed_seen.add(closed)
-        open_seen.add(open_)
+        seen.add(closed)
+        seen.add(open_)
         rest = unplaced ^ low
         out.append((v, (rest, packed & ~(low * rep) | (open_ & rest) << top)))
     return out
@@ -229,14 +212,27 @@ def _rooted_search(
     }
     chunks_out: list[int] = []
     for level in range(1, n):
-        best = -1
+        best = 1 << level  # above every chunk of this level
         reached: list[tuple[int, int, int, tuple]] = []
         placed = shifts[level]
         for (unplaced, packed), link in frontier.items():
-            chunk, cand = _narrow(unplaced, packed, placed)
+            # The narrowing pass, here and in `_tie_probe`: at each slice
+            # keep the candidates not adjacent to that placed vertex, if
+            # any.  The shifted complement holds the later slices above bit
+            # n; they need no mask, as the candidates lie below it.
+            cand = unplaced
+            chunk = 0
+            comp = ~packed
+            for shift in placed:
+                nonadj = cand & comp >> shift
+                if nonadj:
+                    cand = nonadj
+                    chunk <<= 1
+                else:
+                    chunk = chunk << 1 | 1
             if chunk == best:
                 reached.append((unplaced, packed, cand, link))
-            elif chunk < best or best < 0:
+            elif chunk < best:
                 best = chunk
                 reached = [(unplaced, packed, cand, link)]
         chunks_out.append(best)
@@ -246,13 +242,23 @@ def _rooted_search(
                 (link, cand.bit_length() - 1) for _, _, cand, link in reached
             ]
         nxt: dict[tuple[int, int], tuple] = {}
-        top = n * level
+        top, ones = n * level, rep[level]
         for unplaced, packed, cand, link in reached:
-            for v, key in _extensions(rows, unplaced, packed, cand, rep[level], top):
-                ext = (link, v)
-                other = nxt.setdefault(key, ext)
-                if other is not ext:
-                    unite(other, ext)
+            if cand & (cand - 1):
+                for v, key in _extensions(rows, unplaced, packed, cand, ones, top):
+                    ext = (link, v)
+                    other = nxt.setdefault(key, ext)
+                    if other is not ext:
+                        unite(other, ext)
+                continue
+            # A single candidate, the usual case.
+            rest = unplaced ^ cand
+            v = cand.bit_length() - 1
+            ext = (link, v)
+            key = (rest, packed & ~(cand * ones) | (rows[v] & rest) << top)
+            other = nxt.setdefault(key, ext)
+            if other is not ext:
+                unite(other, ext)
         frontier = nxt
     return (), list(frontier.values())  # n == 1: the root is the ordering
 
@@ -270,11 +276,20 @@ def _tie_probe(rows: Rows, root: int, bound: tuple[int, ...]) -> tuple | str | N
     n = len(rows)
     rep, shifts = _layout(n)
     rest = ((1 << n) - 1) ^ 1 << root
-    stack = [(rest, rows[root] & rest, 1, (None, root))]
+    stack = [((rest, rows[root] & rest), 1, (None, root))]
     seen: set[tuple[int, int]] = set()
     while stack:
-        unplaced, packed, level, link = stack.pop()
-        chunk, cand = _narrow(unplaced, packed, shifts[level])
+        (unplaced, packed), level, link = stack.pop()
+        cand = unplaced  # the narrowing pass, as in `_rooted_search`
+        chunk = 0
+        comp = ~packed
+        for shift in shifts[level]:
+            nonadj = cand & comp >> shift
+            if nonadj:
+                cand = nonadj
+                chunk <<= 1
+            else:
+                chunk = chunk << 1 | 1
         target = bound[level - 1]
         if chunk != target:
             if chunk < target:
@@ -282,12 +297,20 @@ def _tie_probe(rows: Rows, root: int, bound: tuple[int, ...]) -> tuple | str | N
             continue
         if level == n - 1:
             return (link, cand.bit_length() - 1)
-        for v, key in reversed(
-            _extensions(rows, unplaced, packed, cand, rep[level], n * level)
-        ):
-            if key not in seen:
-                seen.add(key)
-                stack.append((*key, level + 1, (link, v)))
+        if cand & (cand - 1):
+            for v, key in reversed(
+                _extensions(rows, unplaced, packed, cand, rep[level], n * level)
+            ):
+                if key not in seen:
+                    seen.add(key)
+                    stack.append((key, level + 1, (link, v)))
+            continue
+        rest = unplaced ^ cand  # a single candidate
+        v = cand.bit_length() - 1
+        key = (rest, packed & ~(cand * rep[level]) | (rows[v] & rest) << n * level)
+        if key not in seen:
+            seen.add(key)
+            stack.append((key, level + 1, (link, v)))
     return None
 
 
@@ -300,15 +323,15 @@ def _canonical_search(rows: Rows) -> tuple[tuple[int, ...], Callable]:
     n = len(rows)
     # A twin starts in the class of the first vertex of its twin class, so
     # it is never a root, as `_extensions` skips twins at every later level:
-    # swapping twins is an automorphism.
+    # swapping twins is an automorphism.  One dict holds both kinds of
+    # neighbourhood, for the reason `_extensions` gives.
     orbit = list(range(n))  # union-find parents of the orbit partition
-    closed_seen: dict[int, int] = {}
-    open_seen: dict[int, int] = {}
+    seen: dict[int, int] = {}
     for v, row in enumerate(rows):
         closed = row | 1 << v
-        orbit[v] = closed_seen.get(closed, open_seen.get(row, v))
+        orbit[v] = seen.get(closed, seen.get(row, v))
         if orbit[v] == v:
-            closed_seen[closed] = open_seen[row] = v
+            seen[closed] = seen[row] = v
 
     def find(v: int) -> int:
         while orbit[v] != v:
@@ -324,17 +347,22 @@ def _canonical_search(rows: Rows) -> tuple[tuple[int, ...], Callable]:
         while a is not b:
             a, u = a  # type: ignore[misc]
             b, w = b  # type: ignore[misc]
-            ru, rw = find(u), find(w)
-            if ru > rw:
-                orbit[ru] = rw
-            elif ru < rw:
-                orbit[rw] = ru
+            if u == w:
+                continue
+            while orbit[u] != u:
+                u = orbit[u]
+            while orbit[w] != w:
+                w = orbit[w]
+            if u > w:
+                orbit[u] = w
+            elif u < w:
+                orbit[w] = u
 
     best: Optional[tuple[int, ...]] = None
     best_link = None
     for root in range(n):
-        # A twin, or a vertex in the class of an earlier root, is skipped.
-        if find(root) != root:
+        # A twin, or a vertex in an earlier root's class, is no tree root.
+        if orbit[root] != root:
             continue
         if best is not None:
             # One ordering that ties unites the root with the best one; a

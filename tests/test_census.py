@@ -311,6 +311,87 @@ def test_each_orbit_class_is_named_by_its_smallest_vertex():
             assert rep == reps.index(rep), (rows, v)
 
 
+def brute_force_orbits_and_starts(n, rows):
+    """The automorphism orbits, by brute force over all n! orders, and the
+    set of vertices that start an order reaching the smallest code.  An
+    order is an automorphism when it reads the identity order's code."""
+    identity = adjacency_code(n, rows, range(n))
+    orbit_of = [{v} for v in range(n)]
+    best, starts = None, set()
+    for order in permutations(range(n)):
+        code = adjacency_code(n, rows, order)
+        if code == identity:
+            for v in range(n):
+                orbit_of[v].add(order[v])
+        if best is None or code < best:
+            best, starts = code, {order[0]}
+        elif code == best:
+            starts.add(order[0])
+    return orbit_of, starts
+
+
+def test_orbit_classes_lie_inside_automorphism_orbits():
+    # Every union the search makes must be an automorphism, so each class
+    # of its partition lies in one orbit; and the vertices that start a
+    # minimal order, one orbit, must be exactly one class.
+    graphs = []
+    for n in range(1, 6):
+        pairs = list(combinations(range(n), 2))
+        for mask in range(1 << len(pairs)):
+            edges = [e for b, e in enumerate(pairs) if mask >> b & 1]
+            graphs.append(rows_from_edges(n, edges))
+    rng = random.Random(26)
+    pairs = list(combinations(range(6), 2))
+    for _ in range(300):
+        graphs.append(rows_from_edges(6, [e for e in pairs if rng.random() < 0.5]))
+    for rows in graphs:
+        n = len(rows)
+        _, find = census._canonical_search(rows)
+        orbit_of, starts = brute_force_orbits_and_starts(n, rows)
+        classes = {}
+        for v in range(n):
+            classes.setdefault(find(v), set()).add(v)
+        for members in classes.values():
+            assert members <= orbit_of[min(members)], rows
+        assert starts in classes.values(), rows
+
+
+def twin_class_minima(rows, unplaced, cand):
+    """The lowest candidate of each twin class: u and v are twins when they
+    agree on every other unplaced vertex."""
+    kept = []
+    for v in range(len(rows)):
+        if cand >> v & 1 and not any(
+            (rows[u] ^ rows[v]) & unplaced & ~(1 << u | 1 << v) == 0 for u in kept
+        ):
+            kept.append(v)
+    return kept
+
+
+def test_twin_filter_keeps_the_lowest_of_each_open_and_closed_twin_class():
+    # Vertex 0 is placed.  Among the unplaced vertices, 1 and 2 are open
+    # twins (apart, both joined to 3 alone), 4 and 5 closed twins (joined,
+    # both joined to 3), and 3 is no one's twin: one seen-set for both kinds
+    # must keep exactly 1, 3 and 4.
+    rows = rows_from_edges(6, [(0, 1), (1, 3), (2, 3), (3, 4), (3, 5), (4, 5)])
+    unplaced = 0b111110
+    rep, _ = census._layout(6)
+    packed = rows[0] & unplaced
+    out = census._extensions(rows, unplaced, packed, unplaced, rep[1], 6)
+    assert [v for v, _ in out] == [1, 3, 4] == twin_class_minima(rows, unplaced, unplaced)
+    for v, (rest, _) in out:
+        assert rest == unplaced ^ 1 << v
+    rng = random.Random(5)
+    pairs = list(combinations(range(8), 2))
+    for _ in range(500):
+        density = rng.random()
+        rows = rows_from_edges(8, [e for e in pairs if rng.random() < density])
+        unplaced = rng.randrange(1, 256)
+        cand = unplaced & rng.randrange(1, 256) or unplaced
+        out = census._extensions(rows, unplaced, 0, cand, 0, 8)
+        assert [v for v, _ in out] == twin_class_minima(rows, unplaced, cand), rows
+
+
 def test_every_tie_probe_outcome_reaches_the_brute_force_minimum(monkeypatch):
     # Among the graphs on 5 vertices the tie probe meets all three outcomes:
     # a tie, a root that beats the bound and a root that the bound cuts.
