@@ -55,7 +55,9 @@ automorphism, and in a vertex-transitive graph every root's smallest code
 is the global one, so no later root beats the bound or is cut.  Each
 later root that is probed ties, and its one matching ordering joins it to
 the best ordering's root, while every other vertex is a twin or lies in
-the class of a root already searched or probed.
+the class of a root already searched or probed.  Neither step depends on
+the labeling searched, so `canonicalize` keeps the verdict of the search
+it ran on the class it returns, and no class is searched twice.
 
 The census of k-regular graphs generates labeled graphs row by row and
 prunes interchangeable vertices: when row v is filled, candidates u > v
@@ -64,21 +66,26 @@ the lowest-indexed members of each class are kept.  A transposition within
 a class is an automorphism of the partial graph fixing rows 0..v, so every
 isomorphism class keeps a labeling.  The survivors are reduced to classes
 by an invariant prescreen plus isomorphism tests, and each class is
-canonicalized once.  The prescreen is the sorted triangle counts at the
-vertices and on the edges, read in one pass over the edges, once per
-labeling; the isomorphism tests take the counts at the vertices from that
-same pass.  One embedding search decides both the isomorphism tests and
-the subgraph tests: between graphs with equal vertex and edge counts, an
-injection taking edges onto edges is an isomorphism.  The caller gives
-each vertex its candidate images: an isomorphism test lets a vertex map
-only to vertices with its triangle count, which an isomorphism keeps, and
-a subgraph test to vertices of at least its degree.
+canonicalized once; the generator's rows are well formed by construction,
+so they go to the search without `canonicalize`'s input check.  The
+prescreen is the sorted triangle counts at the vertices and on the edges,
+read in one pass over the edges, once per labeling; the isomorphism tests
+take the counts at the vertices from that same pass.  One embedding search
+decides both the isomorphism tests and `contains_subgraph`: between graphs
+with equal vertex and edge counts, an injection taking edges onto edges is
+an isomorphism.  The caller gives each vertex its candidate images: an
+isomorphism test lets a vertex map only to vertices with its triangle
+count, which an isomorphism keeps, and a subgraph test to vertices of at
+least its degree.  That search places the pattern's vertices in index
+order, so on a clique it would try every ordering of each one; the clique
+tests have their own search, which grows each clique in increasing vertex
+order and so meets it once.
 """
 
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cache
 from itertools import combinations
 from pathlib import Path
@@ -133,9 +140,14 @@ def _check_rows(rows: Rows) -> None:
 
 @dataclass(frozen=True, order=True)
 class GraphClass:
-    """An isomorphism class, held as its canonically labeled adjacency."""
+    """An isomorphism class, held as its canonically labeled adjacency.
+
+    `transitive` is the vertex-transitivity verdict of the search that
+    `canonicalize` ran, or None for a class built directly from rows; it
+    takes no part in equality, ordering, hashing or repr."""
 
     rows: Rows
+    transitive: Optional[bool] = field(default=None, compare=False, repr=False)
 
     @property
     def n(self) -> int:
@@ -382,10 +394,24 @@ def _canonical_search(rows: Rows) -> tuple[tuple[int, ...], Callable]:
 
 def canonicalize(rows: Rows) -> GraphClass:
     """Canonical representative of the graph on len(rows) vertices;
-    isomorphic inputs give equal results and the output is a fixed point."""
+    isomorphic inputs give equal results and the output is a fixed point.
+    The rows are checked first: the census passes the labelings it builds
+    itself to `_canonical_class`."""
     _check_rows(rows)
-    chunks, _ = _canonical_search(rows)
-    out = [0] * len(rows)
+    return _canonical_class(rows)
+
+
+def _canonical_class(rows: Rows) -> GraphClass:
+    """The canonical class of checked rows, with the search's verdict on
+    vertex-transitivity: whether every vertex lies in vertex 0's class."""
+    chunks, find = _canonical_search(rows)
+    n = len(rows)
+    transitive = all(find(v) == 0 for v in range(n))
+    return GraphClass(_rows_from_chunks(n, chunks), transitive)
+
+
+def _rows_from_chunks(n: int, chunks: tuple[int, ...]) -> Rows:
+    out = [0] * n
     for j, chunk in enumerate(chunks, start=1):
         # Bit b of vertex j's chunk is its adjacency to vertex j - 1 - b.
         while chunk:
@@ -394,7 +420,7 @@ def canonicalize(rows: Rows) -> GraphClass:
             i = j - low.bit_length()
             out[i] |= 1 << j
             out[j] |= 1 << i
-    return GraphClass(tuple(out))
+    return tuple(out)
 
 
 def class_from_edges(n: int, edges) -> GraphClass:
@@ -403,8 +429,9 @@ def class_from_edges(n: int, edges) -> GraphClass:
 
 # ---------------------------------------------------------------------------
 # Isomorphism and embedding tests on labeled graphs, both decided by one
-# search for an injection that maps edges onto edges; the embedding tests
-# take a GraphClass or a PrimeGraph (anything with `n` and `rows`).
+# search for an injection that maps edges onto edges, and the clique test;
+# the embedding and clique tests take a GraphClass or a PrimeGraph
+# (anything with `n` and `rows`).
 
 def _triangles(rows: Rows) -> tuple[list[int], list[int]]:
     """The triangles on each edge, its endpoints' common-neighbour count, in
@@ -495,9 +522,24 @@ def contains_subgraph(g, h) -> bool:
 
 
 def contains_clique(g, k: int) -> bool:
-    if k > g.n:  # before K_k is built: its rows take memory quadratic in k
+    """Whether g has k pairwise adjacent vertices.  Cliques grow in
+    increasing vertex order: after placing v, the candidates are the later
+    vertices adjacent to every placed one, `cand & rows[v]`, so each clique
+    is met once rather than in each of its k! orders.  A branch stops once
+    fewer candidates remain than vertices are missing."""
+    rows = g.rows
+
+    def grow(cand: int, need: int) -> bool:
+        if not need:
+            return True
+        while cand.bit_count() >= need:
+            low = cand & -cand
+            cand ^= low
+            if grow(cand & rows[low.bit_length() - 1], need - 1):
+                return True
         return False
-    return k <= 1 or contains_subgraph(g, complete_class(k))
+
+    return k <= 0 or grow((1 << len(rows)) - 1, k)
 
 
 def complete_class(k: int) -> GraphClass:
@@ -510,9 +552,13 @@ def triangle_count(g) -> int:
 
 
 def is_vertex_transitive(g: GraphClass) -> bool:
-    """Whether the canonical search's orbit partition has at most one class."""
-    _, find = _canonical_search(g.rows)
-    return len({find(v) for v in range(g.n)}) <= 1
+    """Whether the canonical search's orbit partition has at most one class.
+    A class from `canonicalize` carries the verdict of the search that
+    labeled it; only a class built directly from rows is searched here.
+    The verdict holds in any labeling (see the module docstring)."""
+    if g.transitive is None:
+        g = _canonical_class(g.rows)
+    return g.transitive
 
 
 def max_dominating_in_induced(g: GraphClass, m: int) -> int:
@@ -576,20 +622,25 @@ def _labeled_regular(n: int, k: int, prune: bool) -> Iterator[Rows]:
     deg = [0] * n
 
     def feasible(v: int) -> bool:
-        residual = [k - d for d in deg[v:] if d < k]
-        return not residual or max(residual) < len(residual)
+        short = most = 0  # vertices u >= v short of k, and the most one lacks
+        for u in range(v, n):
+            missing = k - deg[u]
+            if missing:
+                short += 1
+                if missing > most:
+                    most = missing
+        return most < short or not short
 
-    def picks(classes: list[list[int]], need: int) -> Iterator[tuple[int, ...]]:
-        # Choices of `need` vertices that take a prefix of every class.
-        if need == 0:
-            yield ()
-            return
-        if not classes:
-            return
-        first, rest = classes[0], classes[1:]
-        for taken in range(min(need, len(first)) + 1):
-            for tail in picks(rest, need - taken):
-                yield (*first[:taken], *tail)
+    def picks(classes: list[list[int]], need: int) -> list[tuple[int, ...]]:
+        # Choices of `need` vertices that take a prefix of every class,
+        # ordered by the count taken from the first class, then the next.
+        choices: list[tuple[int, ...]] = [()]
+        for members in classes:
+            prefixes: list[tuple[int, ...]] = [()]
+            for u in members:
+                prefixes.append((*prefixes[-1], u))
+            choices = [c + p for c in choices for p in prefixes[: need - len(c) + 1]]
+        return [c for c in choices if len(c) == need]
 
     def fill(v: int) -> Iterator[Rows]:
         if v == n:
@@ -674,8 +725,8 @@ def _census(n: int, k: int) -> Census:
         reps = buckets.setdefault(inv, [])
         if not any(_find_isomorphism(rows, rep, tri, rep_tri) for rep, rep_tri in reps):
             reps.append((rows, tri))
-    classes = sorted(canonicalize(rep) for reps in buckets.values() for rep, _ in reps)
-    return Census(n, k, tuple(classes))
+    classes = [_canonical_class(rep) for reps in buckets.values() for rep, _ in reps]
+    return Census(n, k, tuple(sorted(classes)))
 
 
 def enumerate_regular_oracle(n: int, k: int) -> Census:
@@ -686,8 +737,9 @@ def enumerate_regular_oracle(n: int, k: int) -> Census:
         raise ValueError("oracle supports 0 <= k < n <= 8")
     if n * k % 2:
         return Census(n, k, ())
-    seen = {canonicalize(rows) for rows in _labeled_regular(n, k, prune=False)}
-    return Census(n, k, tuple(sorted(seen)))
+    codes = {_canonical_search(rows)[0] for rows in _labeled_regular(n, k, prune=False)}
+    classes = sorted(GraphClass(_rows_from_chunks(n, code)) for code in codes)
+    return Census(n, k, tuple(classes))
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from primegraphs import census
+from primegraphs import census, cli
 from primegraphs.census import (
     MAX_VERTICES,
     GraphClass,
@@ -28,6 +28,7 @@ from primegraphs.census import (
     rows_from_edges,
     triangle_count,
 )
+from primegraphs.prime_graph import PrimeGraph
 
 
 def relabel(n, rows, perm):
@@ -581,6 +582,20 @@ def test_pruned_labeled_graphs_are_regular_and_distinct():
     assert total <= 500
 
 
+def test_every_generated_labeling_passes_the_input_check():
+    # The census and the oracle hand their labelings to the canonical search
+    # without `canonicalize`'s input check, so a generator that built rows
+    # out of range, with a loop or asymmetric would pass unseen.
+    for prune in (False, True):
+        total = 0
+        for n in range(1, 9):
+            for k in range(n):
+                for rows in _labeled_regular(n, k, prune):
+                    census._check_rows(rows)
+                    total += 1
+        assert total == {False: 47067, True: 113}[prune]
+
+
 def test_isomorphism_tests_in_each_invariant_bucket_match_canonical_forms():
     # Every pair of pruned labelings the census dedup could compare: the
     # same cell and the same edge invariant.  Six pairs over n <= 9 are not
@@ -740,9 +755,61 @@ def test_isomorphism_tests_try_only_images_with_equal_triangle_counts(monkeypatc
     # any vertex of degree 2 or more, here 0-3 but not the tail's end 4.
     calls.clear()
     tailed = GraphClass(rows_from_edges(5, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4)]))
-    assert contains_clique(tailed, 3)
+    assert contains_subgraph(tailed, complete_class(3))
     [(_, _, fits)] = calls
     assert fits == [0b01111] * 3
+
+
+def test_clique_search_matches_brute_force():
+    # palfy-oracle asks it of a PrimeGraph, the census of a GraphClass.
+    rng = random.Random(11)
+    primes = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29)
+    for _ in range(300):
+        n = rng.randint(0, 10)
+        density = rng.random()
+        edges = [e for e in combinations(range(n), 2) if rng.random() < density]
+        rows = rows_from_edges(n, edges)
+        edge_set = set(edges)
+        pg = PrimeGraph(primes[:n], [(primes[a], primes[b]) for a, b in edges])
+        assert pg.rows == rows
+        for k in (*range(n + 2), 10**6):
+            expected = any(
+                all(pair in edge_set for pair in combinations(c, 2))
+                for c in combinations(range(n), k)
+            ) if k <= n else False
+            assert contains_clique(GraphClass(rows), k) == expected, (rows, k)
+            assert contains_clique(pg, k) == expected, (rows, k)
+
+
+def test_enum_searches_each_class_once(monkeypatch, capsys):
+    # canonicalize's search already settles vertex-transitivity, so
+    # `enum --stats` runs one canonical search per class: 16 at (9, 4).
+    calls = []
+    search = census._canonical_search
+
+    def counting(rows):
+        calls.append(rows)
+        return search(rows)
+
+    monkeypatch.setattr(census, "_canonical_search", counting)
+    census._census.cache_clear()
+    try:
+        assert cli.main(["enum", "--n", "9", "--k", "4", "--stats"]) == 0
+    finally:
+        census._census.cache_clear()
+    out = capsys.readouterr().out
+    assert out.startswith("16 classes") and out.count("vertex-transitive=y") == 3
+    assert len(calls) == 16
+
+
+def test_vertex_transitivity_verdict_is_no_part_of_the_class():
+    g = named("octahedron")
+    bare = GraphClass(g.rows)
+    assert g.transitive is True and bare.transitive is None
+    assert g == bare and hash(g) == hash(bare) and repr(g) == repr(bare)
+    assert not g < bare and not bare < g
+    assert is_vertex_transitive(bare)
+    assert named("house").transitive is False
 
 
 def test_vertex_transitivity():
