@@ -200,9 +200,10 @@ def _check_three_prime(b: Bounds) -> tuple[bool, str]:
     """the simple groups with exactly three prime divisors are the known seven,
     each divisible by 2 and 3
 
-    Herzog's list has eight: these seven and U4(2), isomorphic to PSp4(3),
-    of order 25 920 = 2^6 * 3^4 * 5, which lies in none of the swept
-    families, so the sweep can confirm only the seven."""
+    Herzog's classification (J. Algebra 10, 1968) lists eight: these seven
+    and U4(2), isomorphic to PSp4(3), of order 25 920 = 2^6 * 3^4 * 5,
+    which lies in none of the swept families, so the sweep can confirm
+    only the seven."""
     expected = {"a5", "a6", "psl2_7", "psl2_8", "psl2_17", "psl3_3", "psu3_3"}
     found = set()
     # Every Lie-type order is at least q(q^2 - 1)/2, which reaches 10**7 at
