@@ -542,11 +542,6 @@ def contains_clique(g, k: int) -> bool:
     return k <= 0 or grow((1 << len(rows)) - 1, k)
 
 
-def complete_class(k: int) -> GraphClass:
-    full = (1 << k) - 1
-    return GraphClass(tuple(full ^ (1 << v) for v in range(k)))
-
-
 def triangle_count(g) -> int:
     return sum(_triangles(g.rows)[1]) // 3
 

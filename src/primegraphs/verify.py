@@ -5,7 +5,8 @@ pass/fail report.
 A claim is a pure function of the sweep bounds, registered under its id
 with `@_claim(id)`; its docstring states the claim.  A failing claim
 reports a concrete witness (a group spec or an edge list) sufficient to
-reproduce it with run_one.
+reproduce it with run_one.  A sweep ends through `_swept`, which fails it
+when it reached no item of its kind.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from .arithmetic import is_prime, prime_set
 from .census import (
     GraphClass,
     Rows,
-    class_from_edges,
     contains_clique,
     contains_subgraph,
     enumerate_regular,
@@ -123,8 +123,12 @@ def _claim(id: str) -> Callable[[Checker], Checker]:
     return register
 
 
-# A sweep that reaches no item of its kind proves nothing, so it fails.
-_VACUOUS = (False, "checked nothing: bounds too small")
+def _swept(items: int, detail: str) -> tuple[bool, str]:
+    """End a sweep that found no witness: it passes with `detail`, unless it
+    reached no item of its kind, which proves nothing."""
+    if not items:
+        return False, "checked nothing: bounds too small"
+    return True, detail
 
 
 # ---------------------------------------------------------------------------
@@ -132,7 +136,13 @@ _VACUOUS = (False, "checked nothing: bounds too small")
 
 @_claim("regular-implies-complete")
 def _check_regular_complete(b: Bounds) -> tuple[bool, str]:
-    """every regular degree graph of an implemented simple group is complete"""
+    """every regular degree graph of a group in the swept families is
+    complete
+
+    The sweep covers the families up to the bounds (PSL2(q) for q <=
+    psl2_max, Sz(q) for q <= suzuki_max, PSL3(q) for q <= psl3_max, PSU3(q)
+    for q <= psu3_max) and the alternating and sporadic groups of the
+    bundled tables, not every simple group."""
     count = 0
     for spec in all_specs(b.psl2_max, b.suzuki_max, b.psl3_max, b.psu3_max):
         g = graph_of(spec)
@@ -145,21 +155,20 @@ def _check_regular_complete(b: Bounds) -> tuple[bool, str]:
 
 @_claim("structural-agreement")
 def _check_structural_agreement(b: Bounds) -> tuple[bool, str]:
-    """structural and degree-set constructions agree on all of PSL2"""
+    """structural and degree-set constructions agree on PSL2(q) for every
+    q <= psl2_max"""
     count = 0
     for spec in family_specs(Family.PSL2, b.psl2_max):
         if structural_graph(spec) != graph_from_degrees(character_degrees(spec)):
             return False, f"witness: {spec}"
         count += 1
-    if not count:
-        return _VACUOUS
-    return True, f"{count} parameters checked"
+    return _swept(count, f"{count} parameters checked")
 
 
 @_claim("pentagon-shapes")
 def _check_pentagon_shapes(b: Bounds) -> tuple[bool, str]:
-    """five-prime PSL2 graphs inside the house or butterfly take one of three
-    shapes"""
+    """five-prime PSL2(q) graphs inside the house or butterfly take one of
+    three shapes, for every q <= psl2_max"""
     house, butterfly = named("house"), named("butterfly")
     allowed = {
         named("pentagon-matching"),
@@ -187,9 +196,7 @@ def _check_pentagon_shapes(b: Bounds) -> tuple[bool, str]:
         hits += 1
         if shape not in allowed:
             return False, f"witness: {spec} with shape edges {shape.edges()}"
-    if not hits:
-        return _VACUOUS
-    return True, f"{hits} matching groups, all of the three shapes"
+    return _swept(hits, f"{hits} matching groups, all of the three shapes")
 
 
 _THREE_PRIME_CAP = 272
@@ -224,7 +231,8 @@ def _check_three_prime(b: Bounds) -> tuple[bool, str]:
 
 @_claim("four-prime-psl2-cases")
 def _check_four_prime(b: Bounds) -> tuple[bool, str]:
-    """the four-prime PSL2 case detector is consistent with its definitions"""
+    """the four-prime PSL2 case detector is consistent with its definitions
+    on PSL2(q) for every q <= psl2_max, and on the anchors q = 11 and 32"""
     counts = {case: 0 for case in FourPrimeCase}
     for spec in family_specs(Family.PSL2, b.psl2_max):
         q = spec.parameter
@@ -241,10 +249,8 @@ def _check_four_prime(b: Bounds) -> tuple[bool, str]:
         got = classify_four_prime_psl2(GroupSpec.psl2(q))
         if got is not want:
             return False, f"witness: psl2 {q} gave {got.value}, expected {want.value}"
-    if not any(counts.values()):
-        return _VACUOUS
     detail = ", ".join(f"{c.value}:{n}" for c, n in counts.items())
-    return True, detail
+    return _swept(sum(counts.values()), detail)
 
 
 # ---------------------------------------------------------------------------
@@ -329,17 +335,12 @@ def _check_k5_closure(b: Bounds) -> tuple[bool, str]:
             if not contains_clique(g, 5):
                 continue
             qualifying += 1
-            if n % 5 or g != _disjoint_k5s(n // 5):
+            # Adjacent vertices share their closed neighbourhood exactly
+            # when every component is a clique, in a 4-regular graph a K5.
+            closed = [row | 1 << v for v, row in enumerate(g.rows)]
+            if any(closed[u] != closed[v] for u, v in g.edges()):
                 return False, f"witness: order-{n} class with edges {g.edges()}"
     return True, f"{qualifying} class(es) contain K5, all unions of K5's"
-
-
-def _disjoint_k5s(copies: int) -> GraphClass:
-    edges = []
-    for c in range(copies):
-        base = 5 * c
-        edges += [(base + i, base + j) for i in range(5) for j in range(i + 1, 5)]
-    return class_from_edges(5 * copies, edges)
 
 
 @_claim("dominating-bounds")
@@ -368,20 +369,18 @@ def _check_dominating(b: Bounds) -> tuple[bool, str]:
 @_claim("palfy-oracle")
 def _check_palfy(b: Bounds) -> tuple[bool, str]:
     """the three-vertices-span-an-edge condition equals complement
-    triangle-freeness on all census graphs up to 8 vertices"""
+    triangle-freeness on the census graphs on 3 to 8 vertices"""
     primes = (2, 3, 5, 7, 11, 13, 17, 19)
     checked = 0
     for n in range(3, 9):
+        full = (1 << n) - 1
         for k in range(0, n):
             for g in enumerate_regular(n, k):
                 pg = PrimeGraph(
                     primes[:n],
                     [(primes[i], primes[j]) for i, j in g.edges()],
                 )
-                complement = PrimeGraph(
-                    primes[:n],
-                    [e for e in combinations(primes[:n], 2) if not pg.has_edge(*e)],
-                )
+                complement = GraphClass(tuple(full ^ r ^ 1 << v for v, r in enumerate(g.rows)))
                 if pg.palfy_condition() == contains_clique(complement, 3):
                     return False, f"witness: edges {g.edges()}"
                 checked += 1
@@ -391,9 +390,8 @@ def _check_palfy(b: Bounds) -> tuple[bool, str]:
 @_claim("product-join-bound")
 def _check_product_join(b: Bounds) -> tuple[bool, str]:
     """a product with a clique-spanning second factor has at least as many
-    complete vertices as that factor has vertices"""
-    if not b.product_trials:
-        return _VACUOUS
+    complete vertices as that factor has vertices, over product_trials
+    random pairs of graphs on the primes up to 29"""
     rng = random.Random(b.seed)
     pool = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
     for trial in range(b.product_trials):
@@ -421,7 +419,7 @@ def _check_product_join(b: Bounds) -> tuple[bool, str]:
                 f"witness: a = {a.edges} on {tuple(a.vertices)}, "
                 f"b = {bg.edges} on {tuple(bg.vertices)}"
             )
-    return True, f"{b.product_trials} randomized trials"
+    return _swept(b.product_trials, f"{b.product_trials} randomized trials")
 
 
 # ---------------------------------------------------------------------------
@@ -467,26 +465,28 @@ def _check_sz8_data(b: Bounds) -> tuple[bool, str]:
     return True, "index prime sets and projective factors as expected"
 
 
-@_claim("j1-graph-degrees")
-def _check_j1_degrees(b: Bounds) -> tuple[bool, str]:
-    """vertex degrees of the first Janko group's graph"""
-    g = graph_of(GroupSpec.sporadic("j1"))
-    want = {2: 4, 7: 3, 19: 3, 3: 2, 5: 2, 11: 2}
+def _vertex_degrees(name: str, want: dict[int, int], detail: str) -> tuple[bool, str]:
+    """Pass with `detail` when the sporadic group `name`'s graph has exactly
+    the vertex degrees `want`."""
+    g = graph_of(GroupSpec.sporadic(name))
     got = {p: g.degree(p) for p in g.vertices}
     if got != want:
         return False, f"degrees {got}"
-    return True, "deg(2)=4, deg(7)=deg(19)=3, deg(3)=deg(5)=deg(11)=2"
+    return True, detail
+
+
+@_claim("j1-graph-degrees")
+def _check_j1_degrees(b: Bounds) -> tuple[bool, str]:
+    """vertex degrees of the first Janko group's graph"""
+    want = {2: 4, 7: 3, 19: 3, 3: 2, 5: 2, 11: 2}
+    return _vertex_degrees("j1", want, "deg(2)=4, deg(7)=deg(19)=3, deg(3)=deg(5)=deg(11)=2")
 
 
 @_claim("m11-graph-degrees")
 def _check_m11_degrees(b: Bounds) -> tuple[bool, str]:
     """vertex degrees of the smallest Mathieu group's graph"""
-    g = graph_of(GroupSpec.sporadic("m11"))
     want = {2: 2, 11: 2, 5: 3, 3: 1}
-    got = {p: g.degree(p) for p in g.vertices}
-    if got != want:
-        return False, f"degrees {got}"
-    return True, "deg(2)=deg(11)=2, deg(5)=3, deg(3)=1"
+    return _vertex_degrees("m11", want, "deg(2)=deg(11)=2, deg(5)=3, deg(3)=1")
 
 
 # ---------------------------------------------------------------------------

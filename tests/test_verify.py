@@ -1,12 +1,13 @@
 import json
 from dataclasses import replace
+from itertools import combinations
 
 import pytest
 
 from primegraphs import census, prime_graph, verify
 from primegraphs.arithmetic import MAX_SUPPORTED, prime_set
 from primegraphs.census import (
-    complete_class,
+    class_from_edges,
     contains_clique,
     contains_subgraph,
     enumerate_regular,
@@ -79,6 +80,35 @@ def test_k4_count_claims_check_the_census_size(monkeypatch, cid, n, size):
     monkeypatch.setattr(verify, "enumerate_regular", losing_a_k4_free_class)
     entry = run_one(cid, SMALL)
     assert (entry.status, entry.detail) == ("fail", f"census size {size - 1}")
+
+
+def test_k5_closure_reports_a_k5_that_is_not_a_whole_component(monkeypatch):
+    real = verify.enumerate_regular
+    tailed = class_from_edges(6, [*combinations(range(5), 2), (0, 5), (1, 5)])
+
+    def with_tailed_k5(n, k):
+        census = real(n, k)
+        if (n, k) != (6, 4):
+            return census
+        return replace(census, classes=census.classes + (tailed,))
+
+    monkeypatch.setattr(verify, "enumerate_regular", with_tailed_k5)
+    entry = run_one("k5-closure", SMALL)
+    assert (entry.status, entry.detail) == (
+        "fail", f"witness: order-6 class with edges {tailed.edges()}"
+    )
+
+
+@pytest.mark.parametrize("cid, name", [("j1-graph-degrees", "j1"), ("m11-graph-degrees", "m11")])
+def test_degree_claims_report_the_degrees_they_found(monkeypatch, cid, name):
+    real = verify.graph_of
+    spec = GroupSpec.sporadic(name)
+    primes = real(spec).vertices
+    star = PrimeGraph(primes, [(2, p) for p in primes if p != 2])
+    monkeypatch.setattr(verify, "graph_of", lambda s: star if s == spec else real(s))
+    entry = run_one(cid, SMALL)
+    degrees = {p: len(primes) - 1 if p == 2 else 1 for p in primes}
+    assert (entry.status, entry.detail) == ("fail", f"degrees {degrees}")
 
 
 @pytest.mark.parametrize(
@@ -180,7 +210,7 @@ def test_pentagon_shapes_witness_is_the_first_failing_parameter(monkeypatch):
             contains_subgraph(house, shape) or contains_subgraph(butterfly, shape)
         ):
             break
-    decoy = complete_class(6)
+    decoy = class_from_edges(6, combinations(range(6), 2))
     real = verify.named
     monkeypatch.setattr(
         verify, "named", lambda name: decoy if name == "pentagon-paw" else real(name)
