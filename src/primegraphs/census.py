@@ -326,12 +326,13 @@ def _tie_probe(rows: Rows, root: int, bound: tuple[int, ...]) -> tuple | str | N
     return None
 
 
-def _canonical_search(rows: Rows) -> tuple[tuple[int, ...], Callable]:
-    """The canonical chunks, and the find of the orbit partition, which
-    names each class by its smallest vertex.  A vertex is a root when it is
-    the smallest of its class as the loop reaches it: the first is searched,
-    and each later one is probed against the best code and searched only
-    when it beats it."""
+def _canonical_search(rows: Rows) -> tuple[tuple[int, ...], list[int]]:
+    """The canonical chunks, and the union-find parents of the orbit
+    partition.  A union links the larger root to the smaller, so the roots,
+    the vertices v with parent v, are the smallest vertex of each class,
+    vertex 0 among them.  A vertex is a root when it is the smallest of its
+    class as the loop reaches it: the first is searched, and each later one
+    is probed against the best code and searched only when it beats it."""
     n = len(rows)
     # A twin starts in the class of the first vertex of its twin class, so
     # it is never a root, as `_extensions` skips twins at every later level:
@@ -344,12 +345,6 @@ def _canonical_search(rows: Rows) -> tuple[tuple[int, ...], Callable]:
         orbit[v] = seen.get(closed, seen.get(row, v))
         if orbit[v] == v:
             seen[closed] = seen[row] = v
-
-    def find(v: int) -> int:
-        while orbit[v] != v:
-            orbit[v] = orbit[orbit[v]]
-            v = orbit[v]
-        return v
 
     def unite(a: Optional[tuple], b: Optional[tuple]) -> None:
         # Two links of one length that read the same: full orderings with
@@ -389,7 +384,7 @@ def _canonical_search(rows: Rows) -> tuple[tuple[int, ...], Callable]:
         best_link = links[0]
         for link in links:
             unite(best_link, link)
-    return best or (), find
+    return best or (), orbit
 
 
 def canonicalize(rows: Rows) -> GraphClass:
@@ -403,10 +398,11 @@ def canonicalize(rows: Rows) -> GraphClass:
 
 def _canonical_class(rows: Rows) -> GraphClass:
     """The canonical class of checked rows, with the search's verdict on
-    vertex-transitivity: whether every vertex lies in vertex 0's class."""
-    chunks, find = _canonical_search(rows)
+    vertex-transitivity: whether every vertex lies in vertex 0's class,
+    that is, whether vertex 0 is the partition's only root."""
+    chunks, orbit = _canonical_search(rows)
     n = len(rows)
-    transitive = all(find(v) == 0 for v in range(n))
+    transitive = all(orbit[v] != v for v in range(1, n))
     return GraphClass(_rows_from_chunks(n, chunks), transitive)
 
 
@@ -549,10 +545,11 @@ def triangle_count(g) -> int:
 def is_vertex_transitive(g: GraphClass) -> bool:
     """Whether the canonical search's orbit partition has at most one class.
     A class from `canonicalize` carries the verdict of the search that
-    labeled it; only a class built directly from rows is searched here.
-    The verdict holds in any labeling (see the module docstring)."""
+    labeled it; a class built directly from rows goes through
+    `canonicalize`, whose input check raises ValueError on bad rows.  The
+    verdict holds in any labeling (see the module docstring)."""
     if g.transitive is None:
-        g = _canonical_class(g.rows)
+        g = canonicalize(g.rows)
     return g.transitive
 
 
@@ -598,6 +595,8 @@ class Census:
 
 def _labeled_regular(n: int, k: int, prune: bool) -> Iterator[Rows]:
     """Labeled k-regular graphs on vertices 0..n-1, generated row by row.
+    Each row holds every edge placed so far at its vertex, so degrees are
+    read from the rows.
 
     Without prune, every labeled graph is yielded.  With prune, when row v
     is filled the candidates u > v fall into classes of equal adjacency to
@@ -614,12 +613,11 @@ def _labeled_regular(n: int, k: int, prune: bool) -> Iterator[Rows]:
     is odd, where no k-regular graph exists and nothing is yielded anyway.
     """
     rows = [0] * n
-    deg = [0] * n
 
     def feasible(v: int) -> bool:
         short = most = 0  # vertices u >= v short of k, and the most one lacks
         for u in range(v, n):
-            missing = k - deg[u]
+            missing = k - rows[u].bit_count()
             if missing:
                 short += 1
                 if missing > most:
@@ -641,11 +639,11 @@ def _labeled_regular(n: int, k: int, prune: bool) -> Iterator[Rows]:
         if v == n:
             yield tuple(rows)
             return
-        need = k - deg[v]
+        need = k - rows[v].bit_count()
         if need == 0:
             yield from fill(v + 1)
             return
-        candidates = [u for u in range(v + 1, n) if deg[u] < k]
+        candidates = [u for u in range(v + 1, n) if rows[u].bit_count() < k]
         if prune:
             # So far rows[u] holds only u's edges to 0..v-1: its class key.
             classes: dict[int, list[int]] = {}
@@ -658,15 +656,11 @@ def _labeled_regular(n: int, k: int, prune: bool) -> Iterator[Rows]:
             for u in combo:
                 rows[v] |= 1 << u
                 rows[u] |= 1 << v
-                deg[u] += 1
-            deg[v] = k
             if feasible(v + 1):
                 yield from fill(v + 1)
-            deg[v] = k - need
             for u in combo:
                 rows[v] ^= 1 << u
                 rows[u] ^= 1 << v
-                deg[u] -= 1
 
     yield from fill(0)
 

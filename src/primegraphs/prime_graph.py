@@ -85,10 +85,6 @@ class PrimeGraph:
         ps = self.vertices.primes
         return tuple((ps[i], ps[j]) for i, j in edges_from_rows(self.rows))
 
-    def has_edge(self, p: int, q: int) -> bool:
-        ps = self.vertices.primes
-        return p in ps and q in ps and bool(self.rows[ps.index(p)] >> ps.index(q) & 1)
-
     def degree(self, p: int) -> int:
         if p not in self.vertices:
             raise ValueError(f"{p} is not a vertex")

@@ -295,6 +295,13 @@ def test_a_root_the_bound_cuts_skips_its_orbit(monkeypatch):
     assert searched_roots(monkeypatch, rows) == [0, 1, 2]
 
 
+def orbit_root(orbit, v):
+    """The root of v's class in the search's union-find parent list."""
+    while orbit[v] != v:
+        v = orbit[v]
+    return v
+
+
 def test_each_orbit_class_is_named_by_its_smallest_vertex():
     # The root loop takes a vertex exactly when it names its class, so the
     # partition's representatives must be the smallest vertices.
@@ -306,8 +313,8 @@ def test_each_orbit_class_is_named_by_its_smallest_vertex():
         edges = [e for e in combinations(range(n), 2) if rng.random() < density]
         graphs.append(rows_from_edges(n, edges))
     for rows in graphs:
-        _, find = census._canonical_search(rows)
-        reps = [find(v) for v in range(len(rows))]
+        _, orbit = census._canonical_search(rows)
+        reps = [orbit_root(orbit, v) for v in range(len(rows))]
         for v, rep in enumerate(reps):
             assert rep == reps.index(rep), (rows, v)
 
@@ -347,11 +354,11 @@ def test_orbit_classes_lie_inside_automorphism_orbits():
         graphs.append(rows_from_edges(6, [e for e in pairs if rng.random() < 0.5]))
     for rows in graphs:
         n = len(rows)
-        _, find = census._canonical_search(rows)
+        _, orbit = census._canonical_search(rows)
         orbit_of, starts = brute_force_orbits_and_starts(n, rows)
         classes = {}
         for v in range(n):
-            classes.setdefault(find(v), set()).add(v)
+            classes.setdefault(orbit_root(orbit, v), set()).add(v)
         for members in classes.values():
             assert members <= orbit_of[min(members)], rows
         assert starts in classes.values(), rows
@@ -635,6 +642,102 @@ def test_every_generated_labeling_passes_the_input_check():
         assert total == labelings
 
 
+# sha256 over the labelings `_labeled_regular` yields, in order, for every
+# (n, k, prune) with n * k even: pruned up to n = 10, unpruned up to n = 8.
+# The census and the oracle take the labelings as they come, and no other
+# test pins their order, so a change to the generator must keep these.
+LABELING_SHA256 = {
+    (1, 0, True): "90dd6212d45c23da2f5ef8473c4d61dc4bc5755b41d72345125b541a6c52f00d",
+    (2, 0, True): "89b8cf24c62cf091139ec7b206f0ac995b076988831f5fec537b0d3a9d508356",
+    (2, 1, True): "0c6d2903ccf2f30ebd0ca38a587a9f635bd5fccae8045032c08840a4908fa500",
+    (3, 0, True): "c784747aebaf236875cfb11f60cac92d271fe4093e024af1d5b27555e0616d06",
+    (3, 2, True): "58122f35965164f48d770e5abcbf23b596709107027ab76bd5821eb6a9eb7cf4",
+    (4, 0, True): "53770b163d5e9377a0e1a8a0889de694cfbf2005dee506ee4cdea589e216fd30",
+    (4, 1, True): "4f03ececf34ba034e2ab8419b97d0e8f237bef002bda6d3df8f3f4b3b3636bc6",
+    (4, 2, True): "c460dbe8c8c5f7b6e5abe84951400ab65c4d0dac47452c3515dc3e6e1c97a1a6",
+    (4, 3, True): "5b9368374327b7c1f96a669afbdb3e13d14d1d44e599ba8c7c40d9e5e7f7bdeb",
+    (5, 0, True): "3019fa02e54c7234ba44bed08c676469957c86b3c4a3f225b1d4cfc4f9eed805",
+    (5, 2, True): "21ba8c40b50775220a616e3283cec3e919870ca138b0742b34a3f9f24ee66fff",
+    (5, 4, True): "65b354292386b5587ce76ee816dcfc43421a836a874b1faa1b9efab7a70ee420",
+    (6, 0, True): "e51f624c1b1ebf43ca6eeade26dd42c3ff197b8ec16271741a1e465dd6c96752",
+    (6, 1, True): "80cd152de7cd5fbe11ff8096c1a5ca848b33c81a5a568b32536448276a9c260c",
+    (6, 2, True): "7a1d60aaeaf80e08fc3fc11f01a9d4af6082c43940fcf2fc5a5c388dee4e63d2",
+    (6, 3, True): "8ded24f2bc080d13c0b180aa05e37db36a1418ae92cb8fd19e266dbaf8d56ad4",
+    (6, 4, True): "d82aca242fc5e6a0cd7454ab64fe807d72713a2f7782d76ef1621bb7e0e67feb",
+    (6, 5, True): "0e7496987edb536271a2b5ae3db9252c2e7c25be02bb17602accd11b9b1772ea",
+    (7, 0, True): "4e743c1f436d8dc607af6fbf4699d1cf0a893f5567b7b3d0f1f948653a90dad7",
+    (7, 2, True): "6564e78223499d4e44135f4ce4dadd524c0541e38d5e1eb00aaa178a9d2b89d1",
+    (7, 4, True): "f7b525ac48c4fb6ad7027930c2ab90bad2f4d6d1c3273d5745203b5446a8aac4",
+    (7, 6, True): "d42042f0820dccdf858a0c756c11bb4f011ab7b800c06faadaba1fe31fd115fd",
+    (8, 0, True): "9f53fedf002d5878f35fa45cd93f96f69ad764f3a85b26f6ca03308faf54f54d",
+    (8, 1, True): "df697c1293c1e88fcb7628550432638f29ec3f0b5a5ce797a1185d554668f3eb",
+    (8, 2, True): "ac7b9cff850aa24f52d9e5b44e7a406451429cd49ac579f7d67596d96dc0720f",
+    (8, 3, True): "9498f18d9a630b411cd513cdcd670966beaad4131226897543c4a3f7e2548fa3",
+    (8, 4, True): "289f530f71d88373689c90326933ace4b31d51b2902ebdc6303b37b9e190b669",
+    (8, 5, True): "a7b6b59ae84e3215bddffd5cf36222ac8756e5336569bcda0a4398b3d73f9900",
+    (8, 6, True): "db448afcb54de11be176205110c568173179fbf68c657451ed03b3e5ce9407da",
+    (8, 7, True): "2510fca76dd51242ceccf2266f8a6509f5e4cec941ed0b3896ad6ba5af22d26c",
+    (9, 0, True): "194363dd9a9ab6f40a67eb908faaaec6db2a37d8386e970c64386ab10e76eee4",
+    (9, 2, True): "0842b6c939a887ae85b8bd6ecd4b672d58d2f872affd9b64536211b92a34a07b",
+    (9, 4, True): "aef8d81a1b6dd12c1db3cfec16817ddcd59d02db9e2d60b3ee0ae1079bcc6c1e",
+    (9, 6, True): "f1ce73e72ece02c5d56bd8e90c532188f2fb0bd5061220f6969046699864d5f6",
+    (9, 8, True): "42856362c9cb56f66887027cb98dcfcb703f266dc0e4ce8807bc9bee4563f9e2",
+    (10, 0, True): "8781d25688120587219da542fe631722374cb3b4be786275d2b01e0d3c476400",
+    (10, 1, True): "0b4ab89c70eeef068e6fcea7adb728220372b5f86a57efaa64e5f7da12e1c965",
+    (10, 2, True): "be85fc596ec641c876fd8408adee87927dd5e3e83b27c28289dd5841790d5bc2",
+    (10, 3, True): "e9398f388f527a5858c15ee27bd83df5d9a1bd55a7fd3c866ccc5ad58deb1963",
+    (10, 4, True): "2e77cee6324a8e3b1bbe6670631fa1903864c7ff5c5875d18d43c264d9a9c3f2",
+    (10, 5, True): "c5761301558805091c29dbb71ab3ce6fcf025e86e62af364618d136f13810833",
+    (10, 6, True): "958b8a930d85f2f03d898ac042d0404498359795b3815e755ece3c88b2a2ddfa",
+    (10, 7, True): "5d7fa6473ca1c949901aea3ea25c1debaa4e50f6ba8deec0807dfa124273a9d3",
+    (10, 8, True): "110abb2b2b6a03c64eb42764e216e3d7bf01ae838230f20ad6b086f81d416996",
+    (10, 9, True): "3737dacacb4634203211d1685a346fe85a748aa77cb633a63afcc7146ba1001a",
+    (1, 0, False): "90dd6212d45c23da2f5ef8473c4d61dc4bc5755b41d72345125b541a6c52f00d",
+    (2, 0, False): "89b8cf24c62cf091139ec7b206f0ac995b076988831f5fec537b0d3a9d508356",
+    (2, 1, False): "0c6d2903ccf2f30ebd0ca38a587a9f635bd5fccae8045032c08840a4908fa500",
+    (3, 0, False): "c784747aebaf236875cfb11f60cac92d271fe4093e024af1d5b27555e0616d06",
+    (3, 2, False): "58122f35965164f48d770e5abcbf23b596709107027ab76bd5821eb6a9eb7cf4",
+    (4, 0, False): "53770b163d5e9377a0e1a8a0889de694cfbf2005dee506ee4cdea589e216fd30",
+    (4, 1, False): "a2fa789a65bbab737f8ac4f99dc9cc75178187f85647377d16e16405e8c29e93",
+    (4, 2, False): "12c7beaab99c1b1dc8fc96200737fa7bbea696eb8566fbe26dc131281f9e2c20",
+    (4, 3, False): "5b9368374327b7c1f96a669afbdb3e13d14d1d44e599ba8c7c40d9e5e7f7bdeb",
+    (5, 0, False): "3019fa02e54c7234ba44bed08c676469957c86b3c4a3f225b1d4cfc4f9eed805",
+    (5, 2, False): "9148f358f9f5b9448572cfa8f108014d8188b2a7e043ee921f17267a0462d297",
+    (5, 4, False): "65b354292386b5587ce76ee816dcfc43421a836a874b1faa1b9efab7a70ee420",
+    (6, 0, False): "e51f624c1b1ebf43ca6eeade26dd42c3ff197b8ec16271741a1e465dd6c96752",
+    (6, 1, False): "d5944786775d0f8eba22b090bc37e016ccc9d07e3f69d9af3d860432b503946d",
+    (6, 2, False): "0e928ad2d6889eb1d60dd441cb3a20d7b427d116afa8b7955c3e605f3dbb5d74",
+    (6, 3, False): "ade9f10cbf5100f11a9a03e6eea243247f004614bcf34d23ffb98c85d948921d",
+    (6, 4, False): "77fdce3ab98013da8279997163b2928a848e46914e181e0caf541041a21b046c",
+    (6, 5, False): "0e7496987edb536271a2b5ae3db9252c2e7c25be02bb17602accd11b9b1772ea",
+    (7, 0, False): "4e743c1f436d8dc607af6fbf4699d1cf0a893f5567b7b3d0f1f948653a90dad7",
+    (7, 2, False): "dcb79617db9905e1d7f9663229e630691496f7a0a5fc0b1e7eb281d2321c112a",
+    (7, 4, False): "5675ca1a115a93af01ff5752ecf41f1846216a27e55a197aceddecb02287e34f",
+    (7, 6, False): "d42042f0820dccdf858a0c756c11bb4f011ab7b800c06faadaba1fe31fd115fd",
+    (8, 0, False): "9f53fedf002d5878f35fa45cd93f96f69ad764f3a85b26f6ca03308faf54f54d",
+    (8, 1, False): "1a4065eae90c4fb095c74532bbd84b999916ab21bf87ba7c624b27802b6fb5d8",
+    (8, 2, False): "57759ec37e1705b9090d5107eb98a54a442ec1394a9646cd41519243bc4e85be",
+    (8, 3, False): "bb09b177ccb705e0f8eacfadb2f0340e61b24d76a189fce2ceb0c7fc36c1ab28",
+    (8, 4, False): "5e8732f08d97bf8cdff5708b02e3738b4b7f2422d9691a0ce4a894838077ad7a",
+    (8, 5, False): "f02e16238a68fe2bd3c45c479623acf2072dbdb589f993e647fdb01d539bd1f7",
+    (8, 6, False): "4b393a9f2c276436d148c90591d857be8552af12d23054fe6e9625bf2ce7d086",
+    (8, 7, False): "2510fca76dd51242ceccf2266f8a6509f5e4cec941ed0b3896ad6ba5af22d26c",
+}
+
+
+def test_generator_yields_the_pinned_labelings_in_order():
+    for prune, top in ((True, 10), (False, 8)):
+        for n in range(1, top + 1):
+            for k in range(n):
+                h = hashlib.sha256()
+                for rows in _labeled_regular(n, k, prune):
+                    h.update(f"{rows}\n".encode())
+                if n * k % 2:
+                    assert h.hexdigest() == hashlib.sha256().hexdigest(), (n, k)
+                else:
+                    assert h.hexdigest() == LABELING_SHA256[n, k, prune], (n, k, prune)
+
+
 def test_isomorphism_tests_in_each_invariant_bucket_match_canonical_forms():
     # Every pair of pruned labelings the census dedup could compare: the
     # same cell and the same edge invariant.  Six pairs over n <= 9 are not
@@ -857,6 +960,23 @@ def test_vertex_transitivity():
     assert not is_vertex_transitive(named("quartic7-6tri"))
     assert is_vertex_transitive(named("octahedron"))
     assert is_vertex_transitive(GraphClass(rows_from_edges(5, combinations(range(5), 2))))
+
+
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        ((0b10, 0), "symmetric"),
+        ((0b1, 0b10), "loop-free"),
+        ((0b100, 0), "in range"),
+        ((0,) * 11, "not supported"),
+    ],
+    ids=["asymmetric", "looped", "out-of-range", "11-vertices"],
+)
+def test_vertex_transitivity_checks_bare_rows(rows, message):
+    # A class built directly from rows is searched through canonicalize,
+    # so it meets the same input check.
+    with pytest.raises(ValueError, match=message):
+        is_vertex_transitive(GraphClass(rows))
 
 
 @pytest.mark.parametrize(
