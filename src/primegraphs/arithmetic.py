@@ -27,11 +27,13 @@ record and `Factorization.divide` build theirs in canonical form through the
 unchecked `Factorization._known`.
 `Factorization.divide` derives the factorization of a quotient by one
 prime by lowering its exponent, without factoring again.
+
+`Frozen` is the base of the package's value classes, here and in the other
+modules.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd, isqrt
 from typing import Iterator
 
@@ -66,6 +68,41 @@ del _p
 # primality test for all n < psi_12 ~ 3.18e23, which covers the full 63-bit
 # range.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+class Frozen:
+    """Base of the package's immutable value classes.
+
+    A subclass sets its fields once, in its constructor, through
+    `object.__setattr__` or the instance `__dict__`; assigning or deleting
+    an attribute afterwards raises AttributeError.  It lists in `_fields`
+    the fields its repr shows, in order, and returns from `_key()` the tuple
+    of the fields that equality and hashing compare.  Instances are equal
+    only to instances of the same class.  These are plain classes rather
+    than frozen dataclasses because importing `dataclasses` loads `inspect`
+    and `ast`, which with the decorations took about a quarter of every
+    launch's set-up; a class on a hot path defines its own comparisons.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({shown})"
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._key() == other._key()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
 
 def _check_range(n: int) -> None:
@@ -116,14 +153,16 @@ def _pollard_rho(n: int) -> int:
     raise AssertionError(f"rho failed on {n}")  # unreachable for composite n
 
 
-@dataclass(frozen=True)
-class Factorization:
+class Factorization(Frozen):
     """Prime factorization: factors sorted ascending, exponents >= 1."""
 
     value: int
     factors: tuple[tuple[int, int], ...]
+    _fields = ("value", "factors")
 
-    def __post_init__(self) -> None:
+    def __init__(self, value: int, factors: tuple[tuple[int, int], ...]) -> None:
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "factors", factors)
         prod = 1
         prev = 1
         for p, e in self.factors:
@@ -146,6 +185,9 @@ class Factorization:
         object.__setattr__(f, "factors", factors)
         return f
 
+    def _key(self) -> tuple:
+        return (self.value, self.factors)
+
     def primes(self) -> "PrimeSet":
         return PrimeSet._known(p for p, _ in self.factors)
 
@@ -161,11 +203,11 @@ class Factorization:
         return Factorization._known(self.value // p, tuple(factors))
 
 
-@dataclass(frozen=True)
-class PrimeSet:
+class PrimeSet(Frozen):
     """Immutable sorted set of primes with the usual set algebra."""
 
     primes: tuple[int, ...]
+    _fields = ("primes",)
 
     def __init__(self, primes=()):  # accepts any iterable of primes
         ps = sorted(set(primes))
@@ -181,6 +223,14 @@ class PrimeSet:
         ps = object.__new__(cls)
         object.__setattr__(ps, "primes", tuple(sorted(set(primes))))
         return ps
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self.primes == other.primes
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.primes,))
 
     def __iter__(self) -> Iterator[int]:
         return iter(self.primes)

@@ -85,12 +85,13 @@ order and so meets it once.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
-from functools import cache
+from functools import cache, total_ordering
 from itertools import combinations
 from pathlib import Path
 from types import MappingProxyType
 from typing import Callable, Iterator, Mapping, Optional
+
+from .arithmetic import Frozen
 
 MAX_VERTICES = 10
 
@@ -138,16 +139,47 @@ def _check_rows(rows: Rows) -> None:
                 raise ValueError("adjacency must be symmetric")
 
 
-@dataclass(frozen=True, order=True)
-class GraphClass:
+@total_ordering
+class GraphClass(Frozen):
     """An isomorphism class, held as its canonically labeled adjacency.
 
-    `transitive` is the vertex-transitivity verdict of the search that
-    `canonicalize` ran, or None for a class built directly from rows; it
-    takes no part in equality, ordering, hashing or repr."""
+    The constructor checks the rows as `canonicalize` does; the census, the
+    oracle and `palfy-oracle` build theirs well formed and go through the
+    unchecked `_known`.  `transitive` is the vertex-transitivity verdict of
+    the search that `canonicalize` ran, or None for a class built otherwise;
+    it takes no part in equality, ordering, hashing or repr."""
 
     rows: Rows
-    transitive: Optional[bool] = field(default=None, compare=False, repr=False)
+    transitive: Optional[bool]
+    _fields = ("rows",)
+
+    def __init__(self, rows: Rows, transitive: Optional[bool] = None) -> None:
+        _check_rows(rows)
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "transitive", transitive)
+
+    @classmethod
+    def _known(cls, rows: Rows, transitive: Optional[bool] = None) -> "GraphClass":
+        """A class whose rows are well formed by construction: the
+        constructor's check is skipped."""
+        g = object.__new__(cls)
+        fields = g.__dict__
+        fields["rows"] = rows
+        fields["transitive"] = transitive
+        return g
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self.rows == other.rows
+        return NotImplemented
+
+    def __lt__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self.rows < other.rows
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.rows,))
 
     @property
     def n(self) -> int:
@@ -403,7 +435,7 @@ def _canonical_class(rows: Rows) -> GraphClass:
     chunks, orbit = _canonical_search(rows)
     n = len(rows)
     transitive = all(orbit[v] != v for v in range(1, n))
-    return GraphClass(_rows_from_chunks(n, chunks), transitive)
+    return GraphClass._known(_rows_from_chunks(n, chunks), transitive)
 
 
 def _rows_from_chunks(n: int, chunks: tuple[int, ...]) -> Rows:
@@ -545,11 +577,11 @@ def triangle_count(g) -> int:
 def is_vertex_transitive(g: GraphClass) -> bool:
     """Whether the canonical search's orbit partition has at most one class.
     A class from `canonicalize` carries the verdict of the search that
-    labeled it; a class built directly from rows goes through
-    `canonicalize`, whose input check raises ValueError on bad rows.  The
+    labeled it; any other class is searched here, its rows already well
+    formed, since the constructor rejects bad rows with ValueError.  The
     verdict holds in any labeling (see the module docstring)."""
     if g.transitive is None:
-        g = canonicalize(g.rows)
+        g = _canonical_class(g.rows)
     return g.transitive
 
 
@@ -573,14 +605,22 @@ def max_dominating_in_induced(g: GraphClass, m: int) -> int:
 # ---------------------------------------------------------------------------
 # Enumeration of k-regular graphs.
 
-@dataclass(frozen=True)
-class Census:
+class Census(Frozen):
     """Result of a regular-graph enumeration.  parity_ok is False exactly
     when n*k is odd, in which case no graphs exist and classes is empty."""
 
     n: int
     k: int
     classes: tuple[GraphClass, ...]
+    _fields = ("n", "k", "classes")
+
+    def __init__(self, n: int, k: int, classes: tuple[GraphClass, ...]) -> None:
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "classes", classes)
+
+    def _key(self) -> tuple:
+        return (self.n, self.k, self.classes)
 
     @property
     def parity_ok(self) -> bool:
@@ -727,7 +767,7 @@ def enumerate_regular_oracle(n: int, k: int) -> Census:
     if n * k % 2:
         return Census(n, k, ())
     codes = {_canonical_search(rows)[0] for rows in _labeled_regular(n, k, prune=False)}
-    classes = sorted(GraphClass(_rows_from_chunks(n, code)) for code in codes)
+    classes = sorted(GraphClass._known(_rows_from_chunks(n, code)) for code in codes)
     return Census(n, k, tuple(classes))
 
 

@@ -16,16 +16,18 @@ import argparse
 import functools
 import os
 import sys
-from dataclasses import fields
 from typing import Optional, Sequence
 
 from . import census, verify
 from .groups import GroupSpec, character_degrees, group_order
 from .prime_graph import PrimeGraph, graph_of, product_graph, structural_graph
 
-# The Bounds fields that `verify` takes as flags.  The seed has none: it
-# fixes the product-join trials, so default output stays byte-stable.
-_BOUND_FLAGS = tuple(f for f in fields(verify.Bounds) if f.name != "seed")
+# The bounds that `verify` takes as flags, with their defaults.  The seed
+# has none: it fixes the product-join trials, so default output stays
+# byte-stable.
+_BOUND_FLAGS = tuple(
+    (name, default) for name, default in verify.Bounds.DEFAULTS.items() if name != "seed"
+)
 
 
 def _print_graph(g: PrimeGraph, fmt: str) -> None:
@@ -93,7 +95,7 @@ def _cmd_enum(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    bounds = verify.Bounds(**{f.name: getattr(args, f.name) for f in _BOUND_FLAGS})
+    bounds = verify.Bounds(**{name: getattr(args, name) for name, _ in _BOUND_FLAGS})
     if args.only is not None:
         report = verify.Report((verify.run_one(args.only, bounds),))
     else:
@@ -172,8 +174,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run the claim suite")
     p.add_argument("--only", metavar="ID")
     p.add_argument("--json", action="store_true")
-    for f in _BOUND_FLAGS:
-        p.add_argument(f"--{f.name.replace('_', '-')}", type=int, default=f.default)
+    for name, default in _BOUND_FLAGS:
+        p.add_argument(f"--{name.replace('_', '-')}", type=int, default=default)
     p.set_defaults(fn=_cmd_verify)
 
     p = sub.add_parser("catalog", help="list or show the named graphs")

@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
 from functools import cache, cached_property, partial
 from itertools import chain
 from pathlib import Path
@@ -46,6 +45,7 @@ from typing import Callable, Iterable, Iterator, Mapping, Optional
 from .arithmetic import (
     MAX_SUPPORTED,
     Factorization,
+    Frozen,
     PrimeSet,
     factor,
     is_prime,
@@ -79,8 +79,7 @@ class FourPrimeCase(enum.Enum):
     NONE = "none"
 
 
-@dataclass(frozen=True, eq=False)
-class LieFamily:
+class LieFamily(Frozen):
     """What a Lie-type family is, on one record per family.
 
     The parameters are the prime powers q = p^e >= `smallest` for which
@@ -95,31 +94,43 @@ class LieFamily:
     `aliases` maps each member that is another group of the catalog to
     that group's spec; the rule is wrong on the members in
     `rule_exceptions`, whose graphs come from their degree sets.  `cap`
-    bounds the family's sweep (`verify.Bounds`).
+    bounds the family's sweep (`verify.Bounds`).  A record equals only
+    itself.
     """
 
-    family: Family
-    smallest: int
-    too_small: str
-    rest: Callable[[int], tuple[int, ...]]
-    order: Callable[[int], int]
-    key_prefix: str
-    cap: int
-    rule: Callable[[PrimeSet, tuple[Factorization, ...]], list]
-    parameters: Optional[Callable[[int, int], Iterable[Factorization]]] = None
-    admits: Callable[[int, int], bool] = lambda p, e: True
-    rejects: str = "{} parameter must be a prime power, got {}"
-    degrees: Optional[Callable[[int, tuple[Factorization, ...]], list]] = None
-    aliases: Mapping[int, "GroupSpec"] = field(default_factory=dict)
-    rule_exceptions: frozenset[int] = frozenset()
+    _fields = ("family",)
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+    def __init__(
+        self,
+        family: Family,
+        smallest: int,
+        too_small: str,
+        rest: Callable[[int], tuple[int, ...]],
+        order: Callable[[int], int],
+        key_prefix: str,
+        cap: int,
+        rule: Callable[[PrimeSet, tuple[Factorization, ...]], list],
+        parameters: Optional[Callable[[int, int], Iterable[Factorization]]] = None,
+        admits: Callable[[int, int], bool] = lambda p, e: True,
+        rejects: str = "{} parameter must be a prime power, got {}",
+        degrees: Optional[Callable[[int, tuple[Factorization, ...]], list]] = None,
+        aliases: Mapping[int, "GroupSpec"] = MappingProxyType({}),
+        rule_exceptions: frozenset[int] = frozenset(),
+    ) -> None:
+        vars(self).update(
+            family=family, smallest=smallest, too_small=too_small, rest=rest, order=order,
+            key_prefix=key_prefix, cap=cap, rule=rule, parameters=parameters, admits=admits,
+            rejects=rejects, degrees=degrees, aliases=aliases, rule_exceptions=rule_exceptions,
+        )
 
     def __reduce__(self) -> str:
         # One record per family: a copied or unpickled spec keeps it.
         return f"_{self.family.name}"
 
 
-@dataclass(frozen=True)
-class GroupSpec:
+class GroupSpec(Frozen):
     """A simple group: a family tag plus parameter, or a sporadic name.
 
     Suzuki convention: the parameter is q**2 = 2**(2m+1), m >= 1.
@@ -132,14 +143,18 @@ class GroupSpec:
     """
 
     family: Family
-    parameter: Optional[int] = None
-    name: Optional[str] = None
-    factorization: Optional[Factorization] = field(
-        default=None, init=False, compare=False, repr=False
-    )
-    lie: Optional[LieFamily] = field(default=None, init=False, compare=False, repr=False)
+    parameter: Optional[int]
+    name: Optional[str]
+    factorization: Optional[Factorization]
+    lie: Optional[LieFamily]
+    _fields = ("family", "parameter", "name")
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self, family: Family, parameter: Optional[int] = None, name: Optional[str] = None
+    ) -> None:
+        vars(self).update(
+            family=family, parameter=parameter, name=name, factorization=None, lie=None
+        )
         fam, q = self.family, self.parameter
         if fam is Family.SPORADIC:
             if self.name not in SPORADIC_NAMES:
@@ -159,8 +174,7 @@ class GroupSpec:
             raise ValueError(lie.rejects.format(fam.value, q))
         if q < lie.smallest:
             raise ValueError(lie.too_small)
-        object.__setattr__(self, "factorization", fq)
-        object.__setattr__(self, "lie", lie)
+        vars(self).update(factorization=fq, lie=lie)
 
     @classmethod
     def _known(cls, lie: LieFamily, fq: Factorization) -> "GroupSpec":
@@ -171,6 +185,9 @@ class GroupSpec:
         vars(spec).update(family=lie.family, parameter=fq.value, name=None,
                           factorization=fq, lie=lie)
         return spec
+
+    def _key(self) -> tuple:
+        return (self.family, self.parameter, self.name)
 
     @cached_property
     def cyclotomic_factors(self) -> tuple[Factorization, ...]:
@@ -222,8 +239,7 @@ class GroupSpec:
         return cls(fam, int(arg))
 
 
-@dataclass(frozen=True)
-class DegreeSet:
+class DegreeSet(Frozen):
     """Sorted set of character degrees; always contains 1.
 
     `factorizations` holds each degree's factorization, in the same order;
@@ -234,7 +250,8 @@ class DegreeSet:
     """
 
     degrees: tuple[int, ...]
-    factorizations: tuple[Factorization, ...] = field(compare=False, repr=False)
+    factorizations: tuple[Factorization, ...]
+    _fields = ("degrees",)
 
     def __init__(self, degrees) -> None:
         known: dict[int, Optional[Factorization]] = {}
@@ -253,6 +270,9 @@ class DegreeSet:
             self, "factorizations", tuple(known[d] or factor(d) for d in ds)
         )
 
+    def _key(self) -> tuple:
+        return (self.degrees,)
+
     def __iter__(self) -> Iterator[int]:
         return iter(self.degrees)
 
@@ -260,21 +280,29 @@ class DegreeSet:
         return len(self.degrees)
 
 
-@dataclass(frozen=True)
-class DegreeTable:
+class DegreeTable(Frozen):
     """Full degree list with multiplicities, checked against the group order.
 
     The check is the column orthogonality relation: the multiplicity-weighted
     sum of squared degrees must equal the order exactly.
     """
 
-    group: str
-    order: int
-    degrees_with_multiplicity: tuple[tuple[int, int], ...]
-    maximal_indices: tuple[int, ...] = ()
-    projective_factors: tuple[int, ...] = ()
+    _fields = (
+        "group", "order", "degrees_with_multiplicity", "maximal_indices", "projective_factors"
+    )
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self,
+        group: str,
+        order: int,
+        degrees_with_multiplicity: tuple[tuple[int, int], ...],
+        maximal_indices: tuple[int, ...] = (),
+        projective_factors: tuple[int, ...] = (),
+    ) -> None:
+        vars(self).update(
+            group=group, order=order, degrees_with_multiplicity=degrees_with_multiplicity,
+            maximal_indices=maximal_indices, projective_factors=projective_factors,
+        )
         total = sum(m * d * d for d, m in self.degrees_with_multiplicity)
         if total != self.order:
             raise ValueError(
@@ -284,6 +312,12 @@ class DegreeTable:
         mults = dict(self.degrees_with_multiplicity)
         if mults.get(1, 0) < 1:
             raise ValueError(f"{self.group}: degree 1 missing")
+
+    def _key(self) -> tuple:
+        return (
+            self.group, self.order, self.degrees_with_multiplicity,
+            self.maximal_indices, self.projective_factors,
+        )
 
     @cached_property
     def degree_set(self) -> DegreeSet:

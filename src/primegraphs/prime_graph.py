@@ -20,10 +20,9 @@ two.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from itertools import combinations
 
-from .arithmetic import PrimeSet
+from .arithmetic import Frozen, PrimeSet
 from .census import GraphClass, Rows, canonicalize, edges_from_rows
 from .groups import (
     DegreeSet,
@@ -35,8 +34,7 @@ from .groups import (
 )
 
 
-@dataclass(frozen=True)
-class PrimeGraph:
+class PrimeGraph(Frozen):
     """Immutable simple graph on a sorted set of primes; bit j of rows[i]
     is set iff the i-th and j-th smallest primes are adjacent.
 
@@ -46,6 +44,7 @@ class PrimeGraph:
 
     vertices: PrimeSet
     rows: Rows
+    _fields = ("vertices", "rows")
 
     def __init__(self, vertices, cliques=()) -> None:
         vs = vertices if isinstance(vertices, PrimeSet) else PrimeSet(vertices)
@@ -73,6 +72,14 @@ class PrimeGraph:
             raise ValueError(f"{exc.args[0]} is not a vertex") from None
         object.__setattr__(self, "vertices", vs)
         object.__setattr__(self, "rows", tuple(rows.values()))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self.rows == other.rows and self.vertices == other.vertices
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.vertices, self.rows))
 
     # -- basic queries ----------------------------------------------------
 

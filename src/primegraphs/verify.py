@@ -14,11 +14,10 @@ from __future__ import annotations
 import json
 import random
 import time
-from dataclasses import dataclass
 from itertools import combinations
 from typing import Callable
 
-from .arithmetic import is_prime, prime_set
+from .arithmetic import Frozen, is_prime, prime_set
 from .census import (
     GraphClass,
     Rows,
@@ -48,16 +47,30 @@ from .groups import (
 from .prime_graph import PrimeGraph, graph_from_degrees, graph_of, product_graph, structural_graph
 
 
-@dataclass(frozen=True)
-class Bounds:
-    psl2_max: int = 10**4
-    suzuki_max: int = 2**15
-    psl3_max: int = 200
-    psu3_max: int = 200
-    product_trials: int = 1000
-    seed: int = 20260823
+class Bounds(Frozen):
+    """The sweep bounds, each a keyword of the constructor or, in the order
+    of `DEFAULTS`, a positional argument."""
 
-    def __post_init__(self) -> None:
+    # Each bound and its default: the one declaration that the constructor,
+    # the repr and the `verify` flags (`cli._BOUND_FLAGS`) read.
+    DEFAULTS = {
+        "psl2_max": 10**4,
+        "suzuki_max": 2**15,
+        "psl3_max": 200,
+        "psu3_max": 200,
+        "product_trials": 1000,
+        "seed": 20260823,
+    }
+    _fields = tuple(DEFAULTS)
+
+    def __init__(self, *args: int, **kwargs: int) -> None:
+        given = dict(zip(self._fields, args))
+        if len(args) > len(given):
+            raise TypeError(f"Bounds takes at most {len(given)} positional arguments")
+        for name in kwargs:
+            if name not in self.DEFAULTS or name in given:
+                raise TypeError(f"Bounds got an unexpected or repeated argument {name!r}")
+        vars(self).update(self.DEFAULTS, **given, **kwargs)
         # Each family's sweep bound is capped by its record (LIE_FAMILIES).
         for lie in LIE_FAMILIES.values():
             value = getattr(self, name := f"{lie.family.value}_max")
@@ -70,18 +83,33 @@ class Bounds:
                 f"product_trials must be non-negative, got {self.product_trials}"
             )
 
+    def _key(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
 
-@dataclass(frozen=True)
-class ReportEntry:
+
+class ReportEntry(Frozen):
     id: str
     status: str  # "pass" or "fail"
     detail: str
     elapsed: float
+    _fields = ("id", "status", "detail", "elapsed")
+
+    def __init__(self, id: str, status: str, detail: str, elapsed: float) -> None:
+        vars(self).update(id=id, status=status, detail=detail, elapsed=elapsed)
+
+    def _key(self) -> tuple:
+        return (self.id, self.status, self.detail, self.elapsed)
 
 
-@dataclass(frozen=True)
-class Report:
+class Report(Frozen):
     entries: tuple[ReportEntry, ...]
+    _fields = ("entries",)
+
+    def __init__(self, entries: tuple[ReportEntry, ...]) -> None:
+        object.__setattr__(self, "entries", entries)
+
+    def _key(self) -> tuple:
+        return (self.entries,)
 
     @property
     def ok(self) -> bool:
@@ -380,7 +408,9 @@ def _check_palfy(b: Bounds) -> tuple[bool, str]:
                     primes[:n],
                     [(primes[i], primes[j]) for i, j in g.edges()],
                 )
-                complement = GraphClass(tuple(full ^ r ^ 1 << v for v, r in enumerate(g.rows)))
+                complement = GraphClass._known(
+                    tuple(full ^ r ^ 1 << v for v, r in enumerate(g.rows))
+                )
                 if pg.palfy_condition() == contains_clique(complement, 3):
                     return False, f"witness: edges {g.edges()}"
                 checked += 1
