@@ -64,22 +64,31 @@ prunes interchangeable vertices: when row v is filled, candidates u > v
 with equal adjacency to 0..v-1 form a class, and only combinations taking
 the lowest-indexed members of each class are kept.  A transposition within
 a class is an automorphism of the partial graph fixing rows 0..v, so every
-isomorphism class keeps a labeling.  The survivors are reduced to classes
-by an invariant prescreen plus isomorphism tests, and each class is
+isomorphism class keeps a labeling.  Only the survivors that lead go on:
+vertex 0 has the most triangles, and vertex 1 the largest pair (triangles
+at u, triangles on edge 0-u) over vertex 0's neighbours u.  That keeps
+every class, in the spirit of McKay's choice of first vertices
+("Isomorph-free exhaustive generation", J. Algorithms 26, 1998): row 0 of
+every survivor is {1..k}, and every swap made at row v >= 1 fixes vertices
+0 and 1, so for any vertex x and any neighbour y of x some survivor puts x
+at 0 and y at 1; with x a vertex of the most triangles and y its best
+neighbour, that survivor leads.  The labelings that lead are reduced to
+classes by an invariant prescreen plus isomorphism tests, and each class is
 canonicalized once; the generator's rows are well formed by construction,
-so they go to the search without `canonicalize`'s input check.  The
-prescreen is the sorted triangle counts at the vertices and on the edges,
-read in one pass over the edges, once per labeling; the isomorphism tests
-take the counts at the vertices from that same pass.  One embedding search
-decides both the isomorphism tests and `contains_subgraph`: between graphs
-with equal vertex and edge counts, an injection taking edges onto edges is
-an isomorphism.  The caller gives each vertex its candidate images: an
-isomorphism test lets a vertex map only to vertices with its triangle
-count, which an isomorphism keeps, and a subgraph test to vertices of at
-least its degree.  That search places the pattern's vertices in index
-order, so on a clique it would try every ordering of each one; the clique
-tests have their own search, which grows each clique in increasing vertex
-order and so meets it once.
+so they go to the search without `canonicalize`'s input check.  The lead
+test and the prescreen, the sorted triangle counts at the vertices and on
+the edges, are read in one pass over the edges, once per labeling; the
+isomorphism tests take the counts at the vertices from that same pass.
+
+One embedding search decides both the isomorphism tests and
+`contains_subgraph`: between graphs with equal vertex and edge counts, an
+injection taking edges onto edges is an isomorphism.  The caller gives
+each vertex its candidate images: an isomorphism test lets a vertex map
+only to vertices with its triangle count, which an isomorphism keeps, and
+a subgraph test to vertices of at least its degree.  That search places
+the pattern's vertices in index order, so on a clique it would try every
+ordering of each one; the clique tests have their own search, which grows
+each clique in increasing vertex order and so meets it once.
 """
 
 from __future__ import annotations
@@ -518,7 +527,7 @@ def _search(a: Rows, b: Rows, fits: list[int]) -> bool:
 def _find_isomorphism(a: Rows, b: Rows, tri_a: list[int], tri_b: list[int]) -> bool:
     """Whether a and b are isomorphic, given equal vertex and edge counts
     and each graph's triangles at its vertices: the census dedup compares
-    only graphs with equal `_edge_invariant`, whose key has one entry per
+    only graphs with equal `_edge_invariant` keys, which have one entry per
     edge, and passes the counts from that same `_triangles` pass.  Then a
     bijection taking edges onto edges takes non-edges onto non-edges too,
     so it is an isomorphism.  An isomorphism keeps each vertex's triangle
@@ -643,7 +652,11 @@ def _labeled_regular(n: int, k: int, prune: bool) -> Iterator[Rows]:
     0..v-1, and only combinations taking the lowest-indexed members of each
     class are kept.  Two members of a class are swapped by a transposition
     that is an automorphism of the partial graph fixing rows 0..v, so by
-    induction every labeled graph is isomorphic to one that is kept.
+    induction every labeled graph is isomorphic to one that is kept.  At
+    row 0 every candidate is in one class, so row 0 is {1..k}; a labeled
+    graph whose row 0 is already {1..k} needs swaps only at rows v >= 1,
+    which fix vertices 0 and 1.  So for any graph, any vertex x and any
+    neighbour y of x, some kept labeling puts x at 0 and y at 1.
 
     Once row v is filled, the rest goes on only while each vertex u > v
     short of k neighbours needs fewer edges than there are such vertices,
@@ -705,12 +718,25 @@ def _labeled_regular(n: int, k: int, prune: bool) -> Iterator[Rows]:
     yield from fill(0)
 
 
-def _edge_invariant(rows: Rows) -> tuple[tuple, list[int]]:
+def _edge_invariant(rows: Rows) -> tuple[tuple, list[int], bool]:
     """The dedup's bucket key, the sorted triangle counts at the vertices
-    and on the edges, and the triangles at each vertex, which
-    `_find_isomorphism` takes: one `_triangles` pass gives both."""
+    and on the edges; the triangles at each vertex, which
+    `_find_isomorphism` takes; and whether the labeling leads.  One
+    `_triangles` pass gives all three.
+
+    A pruned labeling's row 0 is {1..k}, so its first k edges are 0-u for
+    u = 1..k.  It leads when vertex 0 has the most triangles and vertex 1
+    the largest pair (triangles at u, triangles on edge 0-u) over u = 1..k.
+    Every class has a labeling that leads: take a vertex x with the most
+    triangles and its neighbour y with the largest pair.  Some pruned
+    labeling puts x at 0 and y at 1 (see `_labeled_regular`), and it
+    leads."""
     on_edge, at_vertex = _triangles(rows)
-    return (tuple(sorted(at_vertex)), tuple(sorted(on_edge))), at_vertex
+    k = rows[0].bit_count()
+    leads = at_vertex[0] == max(at_vertex) and (
+        not k or max(zip(at_vertex[1 : k + 1], on_edge)) == (at_vertex[1], on_edge[0])
+    )
+    return (tuple(sorted(at_vertex)), tuple(sorted(on_edge))), at_vertex, leads
 
 
 def enumerate_regular(n: int, k: int) -> Census:
@@ -727,11 +753,16 @@ def enumerate_regular(n: int, k: int) -> Census:
     lowest-indexed members of every class of candidates with equal
     adjacency to the rows already filled; swapping two members of a class
     is an automorphism of the partial graph, so no isomorphism class is
-    lost.  They are reduced to classes by an invariant prescreen, the
-    sorted triangle counts at the vertices and on the edges, plus
-    isomorphism tests within each bucket.  One pass over each labeling's
-    edges gives both its key and its triangles at each vertex, and each
-    bucket keeps its representatives with those counts.  A test is made by
+    lost.  A labeling is dropped unless it leads: vertex 0 has the most
+    triangles and vertex 1 the largest pair (triangles at u, triangles on
+    edge 0-u) over vertex 0's neighbours u.  No class is lost here either,
+    as the swaps made past row 0 fix vertices 0 and 1 (see
+    `_labeled_regular` and `_edge_invariant`).  The labelings that lead are
+    reduced to classes by an invariant prescreen, the sorted triangle
+    counts at the vertices and on the edges, plus isomorphism tests within
+    each bucket.  One pass over each labeling's edges gives the lead test,
+    its key and its triangles at each vertex, and each bucket keeps its
+    representatives with those counts.  A test is made by
     the embedding search that also answers `contains_subgraph`, with each
     vertex's images restricted to the vertices with its triangle count;
     only new classes are canonicalized.
@@ -750,7 +781,9 @@ def _census(n: int, k: int) -> Census:
         return Census(n, k, ())
     buckets: dict[tuple, list[tuple[Rows, list[int]]]] = {}
     for rows in _labeled_regular(n, k, prune=True):
-        inv, tri = _edge_invariant(rows)
+        inv, tri, leads = _edge_invariant(rows)
+        if not leads:
+            continue
         reps = buckets.setdefault(inv, [])
         if not any(_find_isomorphism(rows, rep, tri, rep_tri) for rep, rep_tri in reps):
             reps.append((rows, tri))

@@ -19,7 +19,6 @@ two.
 
 from __future__ import annotations
 
-import json
 from itertools import combinations
 
 from .arithmetic import Frozen, PrimeSet
@@ -163,6 +162,8 @@ class PrimeGraph(Frozen):
         return "\n".join(lines) + "\n"
 
     def to_json(self) -> str:
+        import json  # here, so that a launch that writes no JSON never loads it
+
         obj = {
             "vertices": list(self.vertices),
             "edges": [list(e) for e in self.edges],

@@ -11,7 +11,6 @@ when it reached no item of its kind.
 
 from __future__ import annotations
 
-import json
 import random
 import time
 from itertools import combinations
@@ -125,6 +124,8 @@ class Report(Frozen):
         return "\n".join(lines) + "\n"
 
     def to_json(self) -> str:
+        import json  # here, so that a launch that writes no JSON never loads it
+
         obj = {
             "claims": [
                 {"id": e.id, "status": e.status, "detail": e.detail}

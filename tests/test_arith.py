@@ -11,6 +11,7 @@ from primegraphs.arithmetic import (
     PrimeSet,
     factor,
     is_prime,
+    prime_flags,
     prime_set,
 )
 from primegraphs.groups import prime_powers
@@ -39,6 +40,31 @@ def test_factor_exhaustive_reconstruction():
             prev = p
             prod *= p**e
         assert prod == n
+
+
+def test_is_prime_matches_the_sieve():
+    flags = prime_flags(10**5)
+    assert [n for n in range(10**5 + 1) if is_prime(n) != flags[n]] == []
+
+
+@pytest.mark.parametrize(
+    "factors, bases",
+    [
+        ((151, 751, 28351), 4),
+        ((6763, 10627, 29947), 5),
+        ((149491, 747451, 34233211), 9),
+    ],
+)
+def test_is_prime_rejects_strong_pseudoprimes(factors, bases):
+    # n is a strong probable prime to each of the first `bases` primes.
+    n = math.prod(factors)
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d, r = d // 2, r + 1
+    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23)[:bases]:
+        x = pow(a, d, n)
+        assert x in (1, n - 1) or any(pow(x, 2**i, n) == n - 1 for i in range(1, r))
+    assert not is_prime(n)
 
 
 def test_factor_large_semiprimes():

@@ -746,7 +746,7 @@ def test_isomorphism_tests_in_each_invariant_bucket_match_canonical_forms():
         for k in range(n):
             buckets = {}
             for rows in _labeled_regular(n, k, prune=True):
-                key, tri = _edge_invariant(rows)
+                key, tri, _ = _edge_invariant(rows)
                 buckets.setdefault(key, []).append((rows, tri))
             for bucket in buckets.values():
                 forms = [canonicalize(rows) for rows, _ in bucket]
@@ -757,6 +757,55 @@ def test_isomorphism_tests_in_each_invariant_bucket_match_canonical_forms():
                     pairs += 1
                     distinct += not same
     assert (pairs, distinct) == (3788, 6)
+
+
+# Per cell with n <= 9 and n * k even: pruned labelings, those that lead
+# (`_edge_invariant`), and the census dedup's isomorphism tests and how
+# many of them succeed.
+LEADING = {
+    (1, 0): (1, 1, 0, 0), (2, 0): (1, 1, 0, 0), (2, 1): (1, 1, 0, 0),
+    (3, 0): (1, 1, 0, 0), (3, 2): (1, 1, 0, 0), (4, 0): (1, 1, 0, 0),
+    (4, 1): (1, 1, 0, 0), (4, 2): (1, 1, 0, 0), (4, 3): (1, 1, 0, 0),
+    (5, 0): (1, 1, 0, 0), (5, 2): (1, 1, 0, 0), (5, 4): (1, 1, 0, 0),
+    (6, 0): (1, 1, 0, 0), (6, 1): (1, 1, 0, 0), (6, 2): (2, 2, 0, 0),
+    (6, 3): (3, 2, 0, 0), (6, 4): (1, 1, 0, 0), (6, 5): (1, 1, 0, 0),
+    (7, 0): (1, 1, 0, 0), (7, 2): (3, 2, 0, 0), (7, 4): (6, 3, 1, 1),
+    (7, 6): (1, 1, 0, 0), (8, 0): (1, 1, 0, 0), (8, 1): (1, 1, 0, 0),
+    (8, 2): (4, 3, 1, 0), (8, 3): (25, 10, 5, 4), (8, 4): (35, 10, 4, 4),
+    (8, 5): (13, 6, 3, 3), (8, 6): (1, 1, 0, 0), (8, 7): (1, 1, 0, 0),
+    (9, 0): (1, 1, 0, 0), (9, 2): (6, 5, 3, 1), (9, 4): (268, 49, 33, 33),
+    (9, 6): (28, 11, 7, 7), (9, 8): (1, 1, 0, 0),
+}
+
+
+def test_only_labelings_that_lead_reach_the_dedup(monkeypatch):
+    # Every class keeps a labeling whose vertices 0 and 1 lead on triangles,
+    # so the canonical forms of those labelings are those of all pruned
+    # ones; the forms are compared without an isomorphism test.
+    tests = []
+    find = census._find_isomorphism
+
+    def recording(*args):
+        tests.append(find(*args))
+        return tests[-1]
+
+    monkeypatch.setattr(census, "_find_isomorphism", recording)
+    census._census.cache_clear()
+    try:
+        for (n, k), want in LEADING.items():
+            labelings = list(_labeled_regular(n, k, prune=True))
+            leading = [rows for rows in labelings if _edge_invariant(rows)[2]]
+            before = len(tests)
+            assert {canonicalize(rows) for rows in leading} == {
+                canonicalize(rows) for rows in labelings
+            }, (n, k)
+            assert len(tests) == before, (n, k)
+            enumerate_regular(n, k)
+            run = tests[before:]
+            assert (len(labelings), len(leading), len(run), sum(run)) == want, (n, k)
+    finally:
+        census._census.cache_clear()
+    assert [sum(cell) for cell in zip(*LEADING.values())] == [417, 127, 57, 53]
 
 
 def test_failed_catalog_load_is_not_kept(monkeypatch, tmp_path):

@@ -154,12 +154,14 @@ def test_cached_properties_survive_copies():
 
 
 def test_importing_the_package_loads_neither_dataclasses_nor_inspect():
-    # Together they cost about a quarter of every launch's set-up.
+    # Together they cost about a quarter of every launch's set-up; json,
+    # which only `graph --format json` and `verify --json` use, is loaded
+    # by the method that writes it.
     src = str(Path(primegraphs.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": src}
     probe = (
         "import sys, primegraphs, primegraphs.cli; "
-        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+        "print(sorted({'dataclasses', 'inspect', 'json'} & set(sys.modules)))"
     )
     proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")

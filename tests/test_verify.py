@@ -64,35 +64,100 @@ def test_raising_claim_fails(monkeypatch, capsys):
     assert out.err == "" and "boom  fail  raised ValueError('boom')" in out.out
 
 
+def _edit_census(monkeypatch, cell, edit):
+    # verify's census at `cell` becomes edit(classes); every other is real.
+    real = verify.enumerate_regular
+
+    def edited(n, k):
+        census = real(n, k)
+        if (n, k) != cell:
+            return census
+        return Census(n, k, edit(census.classes))
+
+    monkeypatch.setattr(verify, "enumerate_regular", edited)
+
+
+def _alias(monkeypatch, aliases):
+    # verify's catalog lookups return aliases[name] where one is given.
+    real = verify.named
+    monkeypatch.setattr(verify, "named", lambda name: aliases.get(name) or real(name))
+
+
 @pytest.mark.parametrize(
     "cid, n, size", [("order8-k4-count", 8, 6), ("order9-k4-count", 9, 16)]
 )
 def test_k4_count_claims_check_the_census_size(monkeypatch, cid, n, size):
-    real = verify.enumerate_regular
+    def losing_a_k4_free_class(classes):
+        lost = next(g for g in classes if not contains_clique(g, 4))
+        return tuple(g for g in classes if g != lost)
 
-    def losing_a_k4_free_class(n_, k):
-        census = real(n_, k)
-        if (n_, k) != (n, 4):
-            return census
-        lost = next(g for g in census if not contains_clique(g, 4))
-        return Census(census.n, census.k, tuple(g for g in census if g != lost))
-
-    monkeypatch.setattr(verify, "enumerate_regular", losing_a_k4_free_class)
+    _edit_census(monkeypatch, (n, 4), losing_a_k4_free_class)
     entry = run_one(cid, SMALL)
     assert (entry.status, entry.detail) == ("fail", f"census size {size - 1}")
 
 
+# K4 plus a disjoint edge on 6 vertices, and K4 plus a disjoint K3 on 7.
+K4_K2 = class_from_edges(6, [*combinations(range(4), 2), (4, 5)])
+K4_K3 = class_from_edges(7, [*combinations(range(4), 2), *combinations(range(4, 7), 2)])
+
+
+@pytest.mark.parametrize(
+    "cid, n, extra, detail",
+    [
+        ("order6-census", 6, K4_K2, "census size 2"),
+        ("order6-census", 6, None, "census size 0"),
+        ("order7-census", 7, K4_K3, "size 3, triangles [5, 6, 7]"),
+        ("order7-census", 7, None, "size 1, triangles [7]"),
+        ("k4-free-small", 6, K4_K2, f"witness: order-6 class with edges {K4_K2.edges()}"),
+        ("k4-free-small", 7, K4_K3, f"witness: order-7 class with edges {K4_K3.edges()}"),
+    ],
+    ids=["order6-added", "order6-lost", "order7-added", "order7-lost",
+         "k4-free-order6", "k4-free-order7"],
+)
+def test_census_claims_fail_when_the_census_gains_or_loses_a_class(
+    monkeypatch, cid, n, extra, detail
+):
+    # A class added at the end, or the census's last class lost.
+    _edit_census(
+        monkeypatch, (n, 4), lambda classes: classes[:-1] if extra is None else (*classes, extra)
+    )
+    entry = run_one(cid, SMALL)
+    assert (entry.status, entry.detail) == ("fail", detail)
+
+
+def test_order6_census_checks_the_octahedron_triangles(monkeypatch):
+    # The census's one class is the catalog's octahedron, but with the
+    # prism's 2 triangles.
+    prism = class_from_edges(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3),
+                                 (0, 3), (1, 4), (2, 5)])
+    _edit_census(monkeypatch, (6, 4), lambda classes: (prism,))
+    _alias(monkeypatch, {"octahedron": prism})
+    entry = run_one("order6-census", SMALL)
+    assert (entry.status, entry.detail) == ("fail", "octahedron triangle count wrong")
+
+
+@pytest.mark.parametrize(
+    "cid, name, alias, detail",
+    [
+        ("order7-census", "quartic7-6tri", "quartic7-7tri",
+         "census classes do not match the catalog pair"),
+        ("vertex-transitivity", "quartic7-6tri", "quartic7-7tri",
+         "7tri transitive: True, 6tri transitive: True"),
+        ("vertex-transitivity", "quartic7-7tri", "quartic7-6tri",
+         "7tri transitive: False, 6tri transitive: False"),
+    ],
+    ids=["order7-pair", "transitive-6tri", "intransitive-7tri"],
+)
+def test_order7_claims_check_the_catalog_pair(monkeypatch, cid, name, alias, detail):
+    # One catalog graph of the order-7 pair is read as the other one.
+    _alias(monkeypatch, {name: named(alias)})
+    entry = run_one(cid, SMALL)
+    assert (entry.status, entry.detail) == ("fail", detail)
+
+
 def test_k5_closure_reports_a_k5_that_is_not_a_whole_component(monkeypatch):
-    real = verify.enumerate_regular
     tailed = class_from_edges(6, [*combinations(range(5), 2), (0, 5), (1, 5)])
-
-    def with_tailed_k5(n, k):
-        census = real(n, k)
-        if (n, k) != (6, 4):
-            return census
-        return Census(census.n, census.k, census.classes + (tailed,))
-
-    monkeypatch.setattr(verify, "enumerate_regular", with_tailed_k5)
+    _edit_census(monkeypatch, (6, 4), lambda classes: (*classes, tailed))
     entry = run_one("k5-closure", SMALL)
     assert (entry.status, entry.detail) == (
         "fail", f"witness: order-6 class with edges {tailed.edges()}"
