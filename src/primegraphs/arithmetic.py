@@ -4,13 +4,16 @@ Everything here is deterministic and exact for inputs up to MAX_SUPPORTED
 (unsigned 63-bit).  Larger inputs are rejected rather than silently
 mishandled.
 
-`factor` takes one of two paths, chosen by the size of n alone.  Below
-_TABLE_BOUND = 2**16 it reads _SMALLEST_FACTOR, one byte per integer: the
-smallest prime factor of a composite, 0 for 0, 1 and the primes.  Every
-composite below 2**16 has a prime factor below 256, so the table is built
-at import by marking the multiples of the primes below 256 and is exact by
-construction; dividing by the entry until it reads 0 leaves 1 or a prime.
-From 2**16 up, `factor` divides out the primes below _TRIAL_BOUND in turn.
+`factor` and `is_prime` take one of two paths, chosen by the size of n
+alone, and try the small one first, so a small n meets no sign or range
+check.  Below _TABLE_BOUND = 2**16 they read _SMALLEST_FACTOR, one byte
+per integer: the smallest prime factor of a composite, 0 for 0, 1 and the
+primes.  Every composite below 2**16 has a prime factor below 256, so the
+table is built at import by marking the multiples of the primes below 256
+and is exact by construction; dividing by the entry until it reads 0
+leaves 1 or a prime.  Past the table both check the range; then
+`is_prime` runs Miller-Rabin and `factor` divides out the primes below
+_TRIAL_BOUND in turn.
 Once the next trial prime p has p*p greater than the cofactor, every prime
 below p has been divided out, so the cofactor is 1 or prime and is
 recorded without a primality test.  Miller-Rabin and Pollard rho run only
@@ -73,10 +76,12 @@ _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 class Frozen:
     """Base of the package's immutable value classes.
 
-    A subclass sets its fields once, in its constructor, through
-    `object.__setattr__` or the instance `__dict__`; assigning or deleting
-    an attribute afterwards raises AttributeError.  It lists in `_fields`
-    the fields its repr shows, in order, and returns from `_key()` the tuple
+    A subclass sets its fields once, in its constructor, by writing them
+    into the instance `__dict__`: `vars(self).update(...)`, or on a hot
+    path `fields = self.__dict__` and one `fields[name] = value` per field,
+    the cheaper write.  Assigning or deleting an attribute afterwards
+    raises AttributeError.  It lists in `_fields` the fields its repr
+    shows, in order, and returns from `_key()` the tuple
     of the fields that equality and hashing compare.  Instances are equal
     only to instances of the same class.  These are plain classes rather
     than frozen dataclasses because importing `dataclasses` loads `inspect`
@@ -111,19 +116,19 @@ def _check_range(n: int) -> None:
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic primality for 0 <= n <= MAX_SUPPORTED."""
+    """Deterministic primality for n <= MAX_SUPPORTED; False below 2."""
+    if n < _TABLE_BOUND:
+        return n > 1 and not _SMALLEST_FACTOR[n]
     _check_range(n)
-    if n < 2:
-        return False
     for p in _MR_WITNESSES:
         if n % p == 0:
-            return n == p
+            return False
     d = n - 1
     r = 0
     while d % 2 == 0:
         d //= 2
         r += 1
-    # Here n > 37, the largest witness, as trial division settled the rest.
+    # Here n >= 2**16, above the largest witness.
     for a in _MR_WITNESSES:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
@@ -160,8 +165,7 @@ class Factorization(Frozen):
     _fields = ("value", "factors")
 
     def __init__(self, value: int, factors: tuple[tuple[int, int], ...]) -> None:
-        object.__setattr__(self, "value", value)
-        object.__setattr__(self, "factors", factors)
+        vars(self).update(value=value, factors=factors)
         prod = 1
         prev = 1
         for p, e in self.factors:
@@ -180,8 +184,9 @@ class Factorization(Frozen):
         `factor`, `divide` and the prime-power sieve build it: the
         constructor's check is skipped."""
         f = object.__new__(cls)
-        object.__setattr__(f, "value", value)
-        object.__setattr__(f, "factors", factors)
+        fields = f.__dict__
+        fields["value"] = value
+        fields["factors"] = factors
         return f
 
     def _key(self) -> tuple:
@@ -213,14 +218,14 @@ class PrimeSet(Frozen):
         for p in ps:
             if not is_prime(p):
                 raise ValueError(f"{p} is not prime")
-        object.__setattr__(self, "primes", tuple(ps))
+        vars(self).update(primes=tuple(ps))
 
     @classmethod
     def _known(cls, primes) -> "PrimeSet":
         """A PrimeSet of values already known to be prime, taken from
         `factor` or from another PrimeSet: the primality check is skipped."""
         ps = object.__new__(cls)
-        object.__setattr__(ps, "primes", tuple(sorted(set(primes))))
+        ps.__dict__["primes"] = tuple(sorted(set(primes)))
         return ps
 
     def __eq__(self, other: object) -> bool:
@@ -252,20 +257,26 @@ class PrimeSet(Frozen):
 
 def factor(n: int) -> Factorization:
     """Factor n >= 1 into primes.  factor(1) has an empty factor list."""
+    m = n
+    if 0 < n < _TABLE_BOUND:
+        # Each entry is divided out in full, so every prime of the cofactor
+        # is larger, and the cofactor left when the table reads 0 is 1 or a
+        # prime above them all: the factors come in order.
+        factors = []
+        while p := _SMALLEST_FACTOR[m]:
+            m //= p
+            e = 1
+            while m % p == 0:
+                m //= p
+                e += 1
+            factors.append((p, e))
+        if m > 1:
+            factors.append((m, 1))
+        return Factorization._known(n, tuple(factors))
     if n < 1:
         raise ValueError("factor requires n >= 1")
     _check_range(n)
     counts: dict[int, int] = {}
-    m = n
-    if n < _TABLE_BOUND:
-        # The entries met along the way never decrease, and the prime left
-        # at the end is at least the last of them: counts is in order.
-        while p := _SMALLEST_FACTOR[m]:
-            counts[p] = counts.get(p, 0) + 1
-            m //= p
-        if m > 1:
-            counts[m] = counts.get(m, 0) + 1
-        return Factorization._known(n, tuple(counts.items()))
     for p in _SMALL_PRIMES:
         if p * p > m:
             # Every prime below p is divided out, so m is 1 or prime.

@@ -164,8 +164,7 @@ class GraphClass(Frozen):
 
     def __init__(self, rows: Rows, transitive: Optional[bool] = None) -> None:
         _check_rows(rows)
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "transitive", transitive)
+        vars(self).update(rows=rows, transitive=transitive)
 
     @classmethod
     def _known(cls, rows: Rows, transitive: Optional[bool] = None) -> "GraphClass":
@@ -624,9 +623,7 @@ class Census(Frozen):
     _fields = ("n", "k", "classes")
 
     def __init__(self, n: int, k: int, classes: tuple[GraphClass, ...]) -> None:
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "classes", classes)
+        vars(self).update(n=n, k=k, classes=classes)
 
     def _key(self) -> tuple:
         return (self.n, self.k, self.classes)
@@ -718,11 +715,17 @@ def _labeled_regular(n: int, k: int, prune: bool) -> Iterator[Rows]:
     yield from fill(0)
 
 
-def _edge_invariant(rows: Rows) -> tuple[tuple, list[int], bool]:
+def _bucket_key(on_edge: list[int], at_vertex: list[int]) -> tuple:
     """The dedup's bucket key, the sorted triangle counts at the vertices
-    and on the edges; the triangles at each vertex, which
-    `_find_isomorphism` takes; and whether the labeling leads.  One
-    `_triangles` pass gives all three.
+    and on the edges, from `_triangles`."""
+    return (tuple(sorted(at_vertex)), tuple(sorted(on_edge)))
+
+
+def _edge_invariant(rows: Rows) -> Optional[tuple[tuple, list[int]]]:
+    """None unless the labeling leads; otherwise its `_bucket_key` and the
+    triangles at each vertex, which `_find_isomorphism` takes.  One
+    `_triangles` pass gives all of them, and only a labeling that leads
+    pays for sorting its key.
 
     A pruned labeling's row 0 is {1..k}, so its first k edges are 0-u for
     u = 1..k.  It leads when vertex 0 has the most triangles and vertex 1
@@ -736,7 +739,7 @@ def _edge_invariant(rows: Rows) -> tuple[tuple, list[int], bool]:
     leads = at_vertex[0] == max(at_vertex) and (
         not k or max(zip(at_vertex[1 : k + 1], on_edge)) == (at_vertex[1], on_edge[0])
     )
-    return (tuple(sorted(at_vertex)), tuple(sorted(on_edge))), at_vertex, leads
+    return (_bucket_key(on_edge, at_vertex), at_vertex) if leads else None
 
 
 def enumerate_regular(n: int, k: int) -> Census:
@@ -781,10 +784,11 @@ def _census(n: int, k: int) -> Census:
         return Census(n, k, ())
     buckets: dict[tuple, list[tuple[Rows, list[int]]]] = {}
     for rows in _labeled_regular(n, k, prune=True):
-        inv, tri, leads = _edge_invariant(rows)
-        if not leads:
+        inv = _edge_invariant(rows)
+        if inv is None:
             continue
-        reps = buckets.setdefault(inv, [])
+        key, tri = inv
+        reps = buckets.setdefault(key, [])
         if not any(_find_isomorphism(rows, rep, tri, rep_tri) for rep, rep_tri in reps):
             reps.append((rows, tri))
     classes = [_canonical_class(rep) for reps in buckets.values() for rep, _ in reps]

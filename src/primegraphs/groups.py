@@ -27,9 +27,11 @@ Every sweep over a Lie family takes its specs from `family_specs`, which
 lists the parameters its record names: the prime powers from the
 `prime_powers` sieve, each handed out as its Factorization ((p, e),), or
 for Suzuki the powers 2**(2m+1).  It builds the specs through the
-unchecked `GroupSpec._known`, so a swept parameter is never factored again.
-The public constructor and `GroupSpec.parse` factor the parameter and
-reject anything that the record does not accept.
+unchecked `GroupSpec._known`, so a swept parameter is never factored again,
+and swept specs arrive factored: `_known` factors the other cyclotomic
+factors as it builds the spec.  The public constructor and
+`GroupSpec.parse` factor the parameter and reject anything that the
+record does not accept; their specs factor the rest on first use.
 """
 
 from __future__ import annotations
@@ -137,9 +139,10 @@ class GroupSpec(Frozen):
 
     A Lie-type spec keeps `lie`, its family's record, and `factorization`,
     the factorization of its parameter made when the parameter is
-    validated, and factors the rest of its family's cyclotomic factors
-    once, on first use (`cyclotomic_factors`).  None of them takes part in
-    equality.
+    validated.  Its family's cyclotomic factors (`cyclotomic_factors`) are
+    factored once: swept specs, from `family_specs`, arrive factored, and a
+    spec from the checked constructor factors them on first use.  None of
+    them takes part in equality.
     """
 
     family: Family
@@ -180,10 +183,20 @@ class GroupSpec(Frozen):
     def _known(cls, lie: LieFamily, fq: Factorization) -> "GroupSpec":
         """A spec of the Lie family `lie` whose parameter, with
         factorization `fq`, is already known to be valid for it, as
-        `family_specs` lists it: nothing is factored or checked."""
+        `family_specs` lists it: nothing is checked, and the parameter is
+        not factored again.  The spec arrives factored: its
+        `cyclotomic_factors` are stored in the instance dict here, where
+        the cached property would only compute them later, and behind a
+        lock."""
         spec = object.__new__(cls)
-        vars(spec).update(family=lie.family, parameter=fq.value, name=None,
-                          factorization=fq, lie=lie)
+        q = fq.value
+        fields = spec.__dict__
+        fields["family"] = lie.family
+        fields["parameter"] = q
+        fields["name"] = None
+        fields["factorization"] = fq
+        fields["lie"] = lie
+        fields["cyclotomic_factors"] = (fq, *map(factor, lie.rest(q)))
         return spec
 
     def _key(self) -> tuple:
@@ -192,7 +205,8 @@ class GroupSpec(Frozen):
     @cached_property
     def cyclotomic_factors(self) -> tuple[Factorization, ...]:
         """Factorizations of the family's cyclotomic factors, the parameter
-        first; the primes of the order are the primes of these.
+        first; the primes of the order are the primes of these.  Read here
+        only for specs from the checked constructor: `_known` stores them.
 
         PSL2: q, q-1, q+1.  PSL3: q, q-1, q+1, q^2+q+1.  PSU3: q, q-1, q+1,
         q^2-q+1.  Suzuki (parameter Q = q^2, r = sqrt(2Q)): Q, Q-1, Q+r+1,
@@ -256,7 +270,7 @@ class DegreeSet(Frozen):
     def __init__(self, degrees) -> None:
         known: dict[int, Optional[Factorization]] = {}
         for d in degrees:
-            if isinstance(d, Factorization):
+            if d.__class__ is Factorization:
                 known[d.value] = d
             else:
                 known.setdefault(d, None)
@@ -265,10 +279,9 @@ class DegreeSet(Frozen):
             raise ValueError("a degree set must contain 1")
         if ds[0] < 1:
             raise ValueError("degrees must be positive")
-        object.__setattr__(self, "degrees", tuple(ds))
-        object.__setattr__(
-            self, "factorizations", tuple(known[d] or factor(d) for d in ds)
-        )
+        fields = self.__dict__
+        fields["degrees"] = tuple(ds)
+        fields["factorizations"] = tuple([known[d] or factor(d) for d in ds])
 
     def _key(self) -> tuple:
         return (self.degrees,)
@@ -453,7 +466,7 @@ _PSL2 = LieFamily(
     # primes and odd primes are adjacent iff both divide q-1 or both divide
     # q+1; for even q the primes of q-1 and of q+1 form two separate
     # cliques.  So the cliques are the primes of q, q-1 and q+1.
-    rule=lambda pi, fs: [_primes(f) for f in fs],
+    rule=lambda pi, fs: [[p for p, _ in f.factors] for f in fs],
     aliases={4: GroupSpec.alternating(5), 5: GroupSpec.alternating(5),
              9: GroupSpec.alternating(6)},
     rule_exceptions=frozenset({5}),  # PSL2(5) = A5, where the rule joins 2 and 3
@@ -546,7 +559,7 @@ def prime_set_of_group(spec: GroupSpec) -> PrimeSet:
     factor their order."""
     if spec.lie is None:
         return prime_set(group_order(spec))
-    return PrimeSet._known(p for f in spec.cyclotomic_factors for p, _ in f.factors)
+    return PrimeSet._known([p for f in spec.cyclotomic_factors for p, _ in f.factors])
 
 
 # ---------------------------------------------------------------------------

@@ -12,9 +12,11 @@ cross-checked in the tests.
 Both are unions of cliques: a degree graph is the union of one clique on
 the primes of each degree, and each of White's structural rules is a union
 of two or three cliques.  So `PrimeGraph(vertices, cliques)` is the one
-constructor: it ORs each clique's bit mask, less the member's own bit, into
-its members' rows, with no edge list in between, and an edge is a clique of
-two.
+public constructor: it ORs each clique's bit mask, less the member's own
+bit, into its members' rows, with no edge list in between, and an edge is a
+clique of two.  The unchecked `PrimeGraph._known(vertices, rows)` serves
+`product_graph` alone, which ORs the rows of its factors rather than
+listing every cross pair.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ from .groups import (
     DegreeSet,
     GroupSpec,
     UnsupportedFamilyError,
-    _primes,
     character_degrees,
     prime_set_of_group,
 )
@@ -46,7 +47,7 @@ class PrimeGraph(Frozen):
     _fields = ("vertices", "rows")
 
     def __init__(self, vertices, cliques=()) -> None:
-        vs = vertices if isinstance(vertices, PrimeSet) else PrimeSet(vertices)
+        vs = vertices if vertices.__class__ is PrimeSet else PrimeSet(vertices)
         bit = {p: 1 << i for i, p in enumerate(vs.primes)}
         rows = dict.fromkeys(vs.primes, 0)
         try:
@@ -69,8 +70,19 @@ class PrimeGraph(Frozen):
                     rows[p] |= mask ^ bit[p]
         except KeyError as exc:
             raise ValueError(f"{exc.args[0]} is not a vertex") from None
-        object.__setattr__(self, "vertices", vs)
-        object.__setattr__(self, "rows", tuple(rows.values()))
+        fields = self.__dict__
+        fields["vertices"] = vs
+        fields["rows"] = tuple(rows.values())
+
+    @classmethod
+    def _known(cls, vertices: PrimeSet, rows: Rows) -> "PrimeGraph":
+        """A graph whose rows are well formed on `vertices` by
+        construction, as `product_graph` builds them: nothing is checked."""
+        g = object.__new__(cls)
+        fields = g.__dict__
+        fields["vertices"] = vertices
+        fields["rows"] = rows
+        return g
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is self.__class__:
@@ -179,8 +191,8 @@ class PrimeGraph(Frozen):
 def graph_from_degrees(cd: DegreeSet) -> PrimeGraph:
     """Edge p-q iff pq divides some degree: one clique on the primes of each
     degree, read from the factorizations the degree set carries."""
-    cliques = [_primes(f) for f in cd.factorizations]
-    return PrimeGraph(PrimeSet._known(p for c in cliques for p in c), cliques)
+    cliques = [[p for p, _ in f.factors] for f in cd.factorizations]
+    return PrimeGraph(PrimeSet._known([p for c in cliques for p in c]), cliques)
 
 
 def structural_graph(spec: GroupSpec) -> PrimeGraph:
@@ -213,6 +225,15 @@ def graph_of(spec: GroupSpec) -> PrimeGraph:
 
 def product_graph(a: PrimeGraph, b: PrimeGraph) -> PrimeGraph:
     """Degree graph of a direct product: degrees multiply, so both edge
-    sets survive and every cross pair becomes an edge."""
-    cross = [(p, q) for p in a.vertices for q in b.vertices if p != q]
-    return PrimeGraph(a.vertices | b.vertices, [*a.edges, *b.edges, *cross])
+    sets survive and every cross pair becomes an edge.  Each factor's rows,
+    remapped onto the bits of the union, are ORed with the other factor's
+    vertex mask; a prime of both factors then drops its own bit."""
+    vs = a.vertices | b.vertices
+    bit = {p: 1 << i for i, p in enumerate(vs.primes)}
+    rows = dict.fromkeys(vs.primes, 0)
+    for g, other in ((a, b), (b, a)):
+        ps = g.vertices.primes
+        cross = sum([bit[q] for q in other.vertices.primes])
+        for p, row in zip(ps, g.rows):
+            rows[p] |= cross | sum([bit[q] for i, q in enumerate(ps) if row >> i & 1])
+    return PrimeGraph._known(vs, tuple([row & ~bit[p] for p, row in rows.items()]))

@@ -105,7 +105,7 @@ class Report(Frozen):
     _fields = ("entries",)
 
     def __init__(self, entries: tuple[ReportEntry, ...]) -> None:
-        object.__setattr__(self, "entries", entries)
+        vars(self).update(entries=entries)
 
     def _key(self) -> tuple:
         return (self.entries,)

@@ -24,10 +24,26 @@ def test_factor_examples():
 
 
 def test_factor_rejects_zero():
-    with pytest.raises(ValueError):
-        factor(0)
+    # Below 2**16 both functions read the smallest-factor table before any
+    # sign or range check; the checks must still reject what they did, and
+    # both paths must agree across the table bound.
+    for n in (0, -1, -2**70):
+        with pytest.raises(ValueError):
+            factor(n)
+    for n in (2**63, 2**64):
+        with pytest.raises(OverflowError):
+            factor(n)
+    assert not any(is_prime(n) for n in (-7, 0, 1))
     with pytest.raises(OverflowError):
-        factor(2**64)
+        is_prime(2**63)
+    lo, hi = 2**16 - 64, 2**16 + 64
+    flags = prime_flags(hi)
+    for n in range(lo, hi + 1):
+        assert is_prime(n) == flags[n], n
+        f = factor(n)
+        assert math.prod(p**e for p, e in f.factors) == n, n
+        assert [p for p, _ in f.factors] == sorted({p for p, _ in f.factors}), n
+        assert all(flags[p] for p, _ in f.factors), n
 
 
 def test_factor_exhaustive_reconstruction():

@@ -11,9 +11,11 @@ from primegraphs import census, cli
 from primegraphs.census import (
     MAX_VERTICES,
     GraphClass,
+    _bucket_key,
     _edge_invariant,
     _find_isomorphism,
     _labeled_regular,
+    _triangles,
     canonicalize,
     catalog,
     class_from_edges,
@@ -746,8 +748,8 @@ def test_isomorphism_tests_in_each_invariant_bucket_match_canonical_forms():
         for k in range(n):
             buckets = {}
             for rows in _labeled_regular(n, k, prune=True):
-                key, tri, _ = _edge_invariant(rows)
-                buckets.setdefault(key, []).append((rows, tri))
+                on_edge, tri = _triangles(rows)
+                buckets.setdefault(_bucket_key(on_edge, tri), []).append((rows, tri))
             for bucket in buckets.values():
                 forms = [canonicalize(rows) for rows, _ in bucket]
                 for i, j in combinations(range(len(bucket)), 2):
@@ -794,7 +796,7 @@ def test_only_labelings_that_lead_reach_the_dedup(monkeypatch):
     try:
         for (n, k), want in LEADING.items():
             labelings = list(_labeled_regular(n, k, prune=True))
-            leading = [rows for rows in labelings if _edge_invariant(rows)[2]]
+            leading = [rows for rows in labelings if _edge_invariant(rows) is not None]
             before = len(tests)
             assert {canonicalize(rows) for rows in leading} == {
                 canonicalize(rows) for rows in labelings

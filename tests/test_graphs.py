@@ -1,4 +1,5 @@
 import math
+import random
 from itertools import combinations
 
 import pytest
@@ -283,6 +284,34 @@ def test_product_complete_vertex_bound():
     cv = prod.complete_vertices()
     assert {2, 3, 7} <= set(cv)
     assert len(cv) >= len(b.vertices)
+
+
+def _product_from_edges(a, b):
+    # The edge-list construction: both factors' edges plus every cross
+    # pair of distinct primes.
+    cross = [(p, q) for p in a.vertices for q in b.vertices if p != q]
+    return PrimeGraph(a.vertices | b.vertices, [*a.edges, *b.edges, *cross])
+
+
+def test_product_matches_edge_list_construction():
+    rng = random.Random(20090)
+    pool = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31]
+
+    def random_graph():
+        # 0 to 7 vertices, so edgeless and one-vertex factors come up often
+        vs = rng.sample(pool, rng.randint(0, 7))
+        density = rng.choice((0.0, 0.3, 0.7, 1.0))
+        return PrimeGraph(vs, [e for e in combinations(vs, 2) if rng.random() < density])
+
+    shared = edgeless = single = 0
+    for _ in range(10_000):
+        a, b = random_graph(), random_graph()
+        prod = product_graph(a, b)
+        assert prod == _product_from_edges(a, b), (a, b)
+        shared += bool(set(a.vertices) & set(b.vertices))
+        edgeless += not a.edges or not b.edges
+        single += a.n == 1 or b.n == 1
+    assert min(shared, edgeless, single) > 1000, (shared, edgeless, single)
 
 
 def test_product_commutative_associative():

@@ -195,14 +195,19 @@ def test_carried_factorizations_match_factor():
     for q in (f.value for f in prime_powers(4, 10**4)):
         cd = character_degrees(GroupSpec.psl2(q))
         assert cd.factorizations == tuple(factor(d) for d in cd.degrees), q
+    # Swept specs arrive factored: the factors sit in the instance dict
+    # before the first read, and copies and pickles keep them.
     b = Bounds()
     lie = 0
     for spec in all_specs(b.psl2_max, b.suzuki_max, b.psl3_max, b.psu3_max):
         if spec.family in (Family.SPORADIC, Family.ALTERNATING):
             continue
         lie += 1
+        assert "cyclotomic_factors" in vars(spec), spec
         assert spec == GroupSpec(spec.family, spec.parameter), spec
         fs = spec.cyclotomic_factors
+        for twin in (copy.copy(spec), copy.deepcopy(spec), pickle.loads(pickle.dumps(spec))):
+            assert twin == spec and vars(twin)["cyclotomic_factors"] == fs, spec
         assert tuple(f.value for f in fs) == _cyclotomic_values(spec), spec
         assert fs == tuple(factor(f.value) for f in fs), spec
         if spec.family is Family.SUZUKI:
