@@ -12,11 +12,15 @@ cross-checked in the tests.
 Both are unions of cliques: a degree graph is the union of one clique on
 the primes of each degree, and each of White's structural rules is a union
 of two or three cliques.  So `PrimeGraph(vertices, cliques)` is the one
-public constructor: it ORs each clique's bit mask, less the member's own
-bit, into its members' rows, with no edge list in between, and an edge is a
-clique of two.  The unchecked `PrimeGraph._known(vertices, rows)` serves
-`product_graph` alone, which ORs the rows of its factors rather than
-listing every cross pair.
+public constructor: it checks the cliques against the vertices and ORs each
+clique's bit mask, less the member's own bit, into its members' rows, with
+no edge list in between, and an edge is a clique of two.  `structural_graph`
+builds through it, so White's rules are checked as they run.  Where the rows
+are well formed by construction, the module builds them with bit operations
+and returns through the unchecked `PrimeGraph._known(vertices, rows)`:
+`graph_from_degrees`, whose cliques are the distinct primes of each degree's
+factorization and whose vertices are their union, and `product_graph`,
+which ORs the rows of its factors rather than listing every cross pair.
 """
 
 from __future__ import annotations
@@ -77,7 +81,8 @@ class PrimeGraph(Frozen):
     @classmethod
     def _known(cls, vertices: PrimeSet, rows: Rows) -> "PrimeGraph":
         """A graph whose rows are well formed on `vertices` by
-        construction, as `product_graph` builds them: nothing is checked."""
+        construction, symmetric and loop-free, as `graph_from_degrees` and
+        `product_graph` build them: nothing is checked."""
         g = object.__new__(cls)
         fields = g.__dict__
         fields["vertices"] = vertices
@@ -119,15 +124,20 @@ class PrimeGraph(Frozen):
         return PrimeSet._known(p for i, p in enumerate(self.vertices) if mask >> i & 1)
 
     def _component_masks(self) -> list[int]:
-        # Grown from the lowest remaining vertex, so ordered by smallest prime.
+        # Grown from the lowest remaining vertex, so ordered by smallest
+        # prime; each round reads only the rows of the vertices it reached.
+        rows = self.rows
         masks, remaining = [], (1 << self.n) - 1
         while remaining:
-            comp, prev = remaining & -remaining, 0
-            while comp != prev:
-                prev = comp
-                for i, row in enumerate(self.rows):
-                    if prev >> i & 1:
-                        comp |= row
+            comp = frontier = remaining & -remaining
+            while frontier:
+                reached = 0
+                while frontier:
+                    low = frontier & -frontier
+                    reached |= rows[low.bit_length() - 1]
+                    frontier ^= low
+                frontier = reached & ~comp
+                comp |= frontier
             remaining ^= comp
             masks.append(comp)
         return masks
@@ -145,9 +155,10 @@ class PrimeGraph(Frozen):
         if self.n == 1:
             return self.vertices
         comps = set(self._component_masks())
-        return self._primes_of(sum(
-            1 << i for i, row in enumerate(self.rows) if row and (row | 1 << i) in comps
-        ))
+        ps = self.vertices.primes
+        return PrimeSet._known(
+            [ps[i] for i, row in enumerate(self.rows) if row and (row | 1 << i) in comps]
+        )
 
     def palfy_condition(self) -> bool:
         """Every three vertices span at least one edge (complement is
@@ -190,9 +201,22 @@ class PrimeGraph(Frozen):
 
 def graph_from_degrees(cd: DegreeSet) -> PrimeGraph:
     """Edge p-q iff pq divides some degree: one clique on the primes of each
-    degree, read from the factorizations the degree set carries."""
-    cliques = [[p for p, _ in f.factors] for f in cd.factorizations]
-    return PrimeGraph(PrimeSet._known([p for c in cliques for p in c]), cliques)
+    degree, read from the factorizations the degree set carries.  A degree
+    of two or more primes ORs its prime mask into its primes' rows, which
+    then drop their own bit; a prime power adds a vertex and no edge."""
+    fs = cd.factorizations
+    vs = PrimeSet._known({p for f in fs for p, _ in f.factors})
+    index = {p: i for i, p in enumerate(vs.primes)}
+    rows = [0] * len(index)
+    for f in fs:
+        factors = f.factors
+        if len(factors) > 1:
+            mask = 0
+            for p, _ in factors:
+                mask |= 1 << index[p]
+            for p, _ in factors:
+                rows[index[p]] |= mask
+    return PrimeGraph._known(vs, tuple([row & ~(1 << i) for i, row in enumerate(rows)]))
 
 
 def structural_graph(spec: GroupSpec) -> PrimeGraph:
@@ -226,14 +250,21 @@ def graph_of(spec: GroupSpec) -> PrimeGraph:
 def product_graph(a: PrimeGraph, b: PrimeGraph) -> PrimeGraph:
     """Degree graph of a direct product: degrees multiply, so both edge
     sets survive and every cross pair becomes an edge.  Each factor's rows,
-    remapped onto the bits of the union, are ORed with the other factor's
-    vertex mask; a prime of both factors then drops its own bit."""
+    remapped onto the bits of the union by scattering their set bits, are
+    ORed with the other factor's vertex mask; a prime of both factors then
+    drops its own bit."""
     vs = a.vertices | b.vertices
     bit = {p: 1 << i for i, p in enumerate(vs.primes)}
     rows = dict.fromkeys(vs.primes, 0)
     for g, other in ((a, b), (b, a)):
         ps = g.vertices.primes
+        bits = [bit[q] for q in ps]
         cross = sum([bit[q] for q in other.vertices.primes])
         for p, row in zip(ps, g.rows):
-            rows[p] |= cross | sum([bit[q] for i, q in enumerate(ps) if row >> i & 1])
+            out = cross
+            while row:
+                low = row & -row
+                out |= bits[low.bit_length() - 1]
+                row ^= low
+            rows[p] |= out
     return PrimeGraph._known(vs, tuple([row & ~bit[p] for p, row in rows.items()]))

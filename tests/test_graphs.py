@@ -52,18 +52,25 @@ def test_degree_of_a_non_vertex():
     assert exc.value.args == ("5 is not a vertex",)
 
 
-def test_every_graph_is_built_through_init(monkeypatch):
-    # graph_of and structural_graph build each graph exactly once, and
-    # through the one constructor
+def test_every_graph_is_built_once_structural_through_init(monkeypatch):
+    # graph_of and structural_graph build each graph exactly once, through
+    # the checked constructor or the unchecked _known, and a structural
+    # graph from White's rule always through the checked one
     calls = []
-    init = PrimeGraph.__init__
+    init, known = PrimeGraph.__init__, PrimeGraph._known.__func__
 
-    def counting(self, *args, **kwargs):
-        calls.append(1)
+    def counting_init(self, *args, **kwargs):
+        calls.append("init")
         init(self, *args, **kwargs)
 
-    monkeypatch.setattr(PrimeGraph, "__init__", counting)
+    def counting_known(cls, *args, **kwargs):
+        calls.append("known")
+        return known(cls, *args, **kwargs)
+
+    monkeypatch.setattr(PrimeGraph, "__init__", counting_init)
+    monkeypatch.setattr(PrimeGraph, "_known", classmethod(counting_known))
     b = Bounds()
+    ruled = 0
     for spec in all_specs(b.psl2_max, b.suzuki_max, b.psl3_max, b.psu3_max):
         calls.clear()
         graph_of(spec)
@@ -72,6 +79,10 @@ def test_every_graph_is_built_through_init(monkeypatch):
             calls.clear()
             structural_graph(spec)
             assert len(calls) == 1, spec
+            if spec.parameter not in spec.lie.rule_exceptions:
+                assert calls == ["init"], spec
+                ruled += 1
+    assert ruled == 1399
 
 
 def test_graph_from_degrees_psl2_64():
@@ -120,6 +131,23 @@ def test_graph_from_degrees_matches_definition(degrees):
     assert list(g.vertices) == vertices
     assert list(g.edges) == edges
     assert g == PrimeGraph(vertices, edges)  # rows too, loop-free
+
+
+def test_graph_from_degrees_matches_checked_constructor():
+    # every degree set of the default sweep (tables, aliases, PSL2 up to
+    # 10**4), against one clique per degree through the checked constructor
+    b = Bounds()
+    checked = 0
+    for spec in all_specs(b.psl2_max, b.suzuki_max, b.psl3_max, b.psu3_max):
+        try:
+            cd = character_degrees(spec)
+        except UnsupportedFamilyError:
+            continue
+        cliques = [f.primes() for f in cd.factorizations]
+        vertices = sorted({p for c in cliques for p in c})
+        assert graph_from_degrees(cd) == PrimeGraph(vertices, cliques), spec
+        checked += 1
+    assert checked == 1284
 
 
 def _primes_of(*values):

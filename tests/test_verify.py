@@ -209,6 +209,23 @@ def test_sweep_claims_report_their_witness(monkeypatch, cid, name, key, value, d
     assert (entry.status, entry.detail) == ("fail", detail)
 
 
+@pytest.mark.parametrize(
+    "g",
+    [
+        PrimeGraph([]),
+        PrimeGraph([5]),
+        PrimeGraph([2, 3, 5]),
+        PrimeGraph([2, 3, 5, 7], [(2, 3, 5, 7)]),
+        PrimeGraph([2, 3, 5], [(2, 3), (3, 5)]),
+    ],
+    ids=["empty", "one-vertex", "edgeless", "complete", "path"],
+)
+def test_regular_claim_passes_graphs_that_are_no_witness(monkeypatch, g):
+    # only a regular graph of positive degree that is not complete fails
+    monkeypatch.setattr(verify, "graph_of", lambda spec: g)
+    assert run_one("regular-implies-complete", SMALL).status == "pass"
+
+
 def test_report_is_deterministic(small_report):
     a = small_report
     census._census.cache_clear()  # else the second run only reads the cache
