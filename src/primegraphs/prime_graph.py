@@ -21,6 +21,9 @@ and returns through the unchecked `PrimeGraph._known(vertices, rows)`:
 `graph_from_degrees`, whose cliques are the distinct primes of each degree's
 factorization and whose vertices are their union, and `product_graph`,
 which ORs the rows of its factors rather than listing every cross pair.
+Two claims in the verify module do the same with rows they build
+themselves: `product-join-bound` draws its random factors straight into
+rows, and `palfy-oracle` labels each census graph's vertices with primes.
 """
 
 from __future__ import annotations
@@ -81,8 +84,9 @@ class PrimeGraph(Frozen):
     @classmethod
     def _known(cls, vertices: PrimeSet, rows: Rows) -> "PrimeGraph":
         """A graph whose rows are well formed on `vertices` by
-        construction, symmetric and loop-free, as `graph_from_degrees` and
-        `product_graph` build them: nothing is checked."""
+        construction, symmetric and loop-free, as `graph_from_degrees`,
+        `product_graph` and the `product-join-bound` and `palfy-oracle`
+        claims build them: nothing is checked."""
         g = object.__new__(cls)
         fields = g.__dict__
         fields["vertices"] = vertices
@@ -254,17 +258,23 @@ def product_graph(a: PrimeGraph, b: PrimeGraph) -> PrimeGraph:
     ORed with the other factor's vertex mask; a prime of both factors then
     drops its own bit."""
     vs = a.vertices | b.vertices
-    bit = {p: 1 << i for i, p in enumerate(vs.primes)}
-    rows = dict.fromkeys(vs.primes, 0)
+    ps = vs.primes
+    index = dict(zip(ps, range(len(ps))))
+    rows = [0] * len(ps)
     for g, other in ((a, b), (b, a)):
-        ps = g.vertices.primes
-        bits = [bit[q] for q in ps]
-        cross = sum([bit[q] for q in other.vertices.primes])
-        for p, row in zip(ps, g.rows):
+        bits = []
+        for q in g.vertices.primes:
+            bits.append(1 << index[q])
+        cross = 0
+        for q in other.vertices.primes:
+            cross |= 1 << index[q]
+        for p, row in zip(g.vertices.primes, g.rows):
             out = cross
             while row:
                 low = row & -row
                 out |= bits[low.bit_length() - 1]
                 row ^= low
-            rows[p] |= out
-    return PrimeGraph._known(vs, tuple([row & ~bit[p] for p, row in rows.items()]))
+            rows[index[p]] |= out
+    for i in range(len(rows)):
+        rows[i] &= ~(1 << i)
+    return PrimeGraph._known(vs, tuple(rows))

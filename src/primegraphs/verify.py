@@ -13,10 +13,9 @@ from __future__ import annotations
 
 import random
 import time
-from itertools import combinations
 from typing import Callable
 
-from .arithmetic import Frozen, is_prime, prime_set
+from .arithmetic import Frozen, PrimeSet, is_prime, prime_set
 from .census import (
     GraphClass,
     Rows,
@@ -408,10 +407,7 @@ def _check_palfy(b: Bounds) -> tuple[bool, str]:
         full = (1 << n) - 1
         for k in range(0, n):
             for g in enumerate_regular(n, k):
-                pg = PrimeGraph(
-                    primes[:n],
-                    [(primes[i], primes[j]) for i, j in g.edges()],
-                )
+                pg = PrimeGraph._known(PrimeSet._known(primes[:n]), g.rows)
                 complement = GraphClass._known(
                     tuple(full ^ r ^ 1 << v for v, r in enumerate(g.rows))
                 )
@@ -429,24 +425,40 @@ def _check_product_join(b: Bounds) -> tuple[bool, str]:
     rng = random.Random(b.seed)
     pool = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
     for trial in range(b.product_trials):
+        # Each factor is drawn straight into rows over its sorted vertices.
+        # The draw order is part of the claim's output (the seed fixes the
+        # trials): a draws its pairs i < j in `combinations` order, b draws
+        # each shared prime, in sample order, against every larger vertex.
         a_verts = rng.sample(pool, rng.randint(1, 6))
-        a_edges = [
-            e for e in combinations(sorted(a_verts), 2) if rng.random() < 0.4
-        ]
-        a = PrimeGraph(a_verts, a_edges)
+        na = len(a_verts)
+        rows = [0] * na
+        for i in range(na):
+            for j in range(i + 1, na):
+                if rng.random() < 0.4:
+                    rows[i] |= 1 << j
+                    rows[j] |= 1 << i
+        a = PrimeGraph._known(PrimeSet._known(a_verts), tuple(rows))
         shared = rng.sample(a_verts, rng.randint(0, len(a_verts)))
         fresh = rng.sample(
             [p for p in pool if p not in a_verts], rng.randint(1, 3)
         )
         b_verts = sorted(shared + fresh)
-        b_edges = [(p, q) for p, q in combinations(sorted(fresh), 2)]
-        b_edges += [
-            (p, q)
-            for p in shared
-            for q in b_verts
-            if p < q and rng.random() < 0.5
-        ]
-        bg = PrimeGraph(b_verts, b_edges)
+        nb = len(b_verts)
+        index = dict(zip(b_verts, range(nb)))
+        clique = 0
+        for p in fresh:
+            clique |= 1 << index[p]
+        rows = [0] * nb
+        for p in fresh:
+            i = index[p]
+            rows[i] = clique ^ 1 << i
+        for p in shared:
+            i = index[p]
+            for j in range(i + 1, nb):
+                if rng.random() < 0.5:
+                    rows[i] |= 1 << j
+                    rows[j] |= 1 << i
+        bg = PrimeGraph._known(PrimeSet._known(b_verts), tuple(rows))
         prod = product_graph(a, bg)
         if len(prod.complete_vertices()) < len(bg.vertices):
             return False, (

@@ -1,4 +1,5 @@
 import json
+import random
 from itertools import combinations
 
 import pytest
@@ -224,6 +225,63 @@ def test_regular_claim_passes_graphs_that_are_no_witness(monkeypatch, g):
     # only a regular graph of positive degree that is not complete fails
     monkeypatch.setattr(verify, "graph_of", lambda spec: g)
     assert run_one("regular-implies-complete", SMALL).status == "pass"
+
+
+def _edge_list_factors(seed, trials):
+    """The factor pairs that product-join-bound tests, drawn as edge lists
+    and built through the checked constructor."""
+    rng = random.Random(seed)
+    pool = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
+    for _ in range(trials):
+        a_verts = rng.sample(pool, rng.randint(1, 6))
+        a_edges = [e for e in combinations(sorted(a_verts), 2) if rng.random() < 0.4]
+        shared = rng.sample(a_verts, rng.randint(0, len(a_verts)))
+        fresh = rng.sample([p for p in pool if p not in a_verts], rng.randint(1, 3))
+        b_verts = sorted(shared + fresh)
+        b_edges = list(combinations(sorted(fresh), 2))
+        b_edges += [(p, q) for p in shared for q in b_verts if p < q and rng.random() < 0.5]
+        yield PrimeGraph(a_verts, a_edges), PrimeGraph(b_verts, b_edges)
+
+
+@pytest.mark.parametrize("seed", [Bounds().seed, 7])
+def test_product_join_draws_the_edge_list_factors(monkeypatch, seed):
+    # The claim draws its factors straight into rows; every trial must test
+    # the same pair, drawn from the same random stream, as the edge lists.
+    drawn = []
+    product = verify.product_graph
+
+    def spy(a, b):
+        drawn.append((a, b))
+        return product(a, b)
+
+    monkeypatch.setattr(verify, "product_graph", spy)
+    bounds = Bounds(seed=seed)
+    assert run_one("product-join-bound", bounds).detail == "1000 randomized trials"
+    expected = list(_edge_list_factors(seed, bounds.product_trials))
+    assert len(drawn) == len(expected)
+    for trial, (got, want) in enumerate(zip(drawn, expected)):
+        assert got == want, trial
+
+
+def test_palfy_oracle_graphs_match_their_edge_lists(monkeypatch):
+    # The claim labels census vertex i with the i-th prime and takes the
+    # census rows as they are.
+    built = []
+    condition = PrimeGraph.palfy_condition
+
+    def spy(g):
+        built.append(g)
+        return condition(g)
+
+    monkeypatch.setattr(PrimeGraph, "palfy_condition", spy)
+    assert run_one("palfy-oracle", SMALL).detail == "45 graphs checked"
+    primes = (2, 3, 5, 7, 11, 13, 17, 19)
+    assert built == [
+        PrimeGraph(primes[:n], [(primes[i], primes[j]) for i, j in g.edges()])
+        for n in range(3, 9)
+        for k in range(n)
+        for g in enumerate_regular(n, k)
+    ]
 
 
 def test_report_is_deterministic(small_report):
