@@ -622,12 +622,6 @@ class Census(Frozen):
     classes: tuple[GraphClass, ...]
     _fields = ("n", "k", "classes")
 
-    def __init__(self, n: int, k: int, classes: tuple[GraphClass, ...]) -> None:
-        vars(self).update(n=n, k=k, classes=classes)
-
-    def _key(self) -> tuple:
-        return (self.n, self.k, self.classes)
-
     @property
     def parity_ok(self) -> bool:
         return self.n * self.k % 2 == 0

@@ -199,9 +199,6 @@ class GroupSpec(Frozen):
         fields["cyclotomic_factors"] = (fq, *map(factor, lie.rest(q)))
         return spec
 
-    def _key(self) -> tuple:
-        return (self.family, self.parameter, self.name)
-
     @cached_property
     def cyclotomic_factors(self) -> tuple[Factorization, ...]:
         """Factorizations of the family's cyclotomic factors, the parameter
@@ -283,9 +280,6 @@ class DegreeSet(Frozen):
         fields["degrees"] = tuple(ds)
         fields["factorizations"] = tuple([known[d] or factor(d) for d in ds])
 
-    def _key(self) -> tuple:
-        return (self.degrees,)
-
     def __iter__(self) -> Iterator[int]:
         return iter(self.degrees)
 
@@ -325,12 +319,6 @@ class DegreeTable(Frozen):
         mults = dict(self.degrees_with_multiplicity)
         if mults.get(1, 0) < 1:
             raise ValueError(f"{self.group}: degree 1 missing")
-
-    def _key(self) -> tuple:
-        return (
-            self.group, self.order, self.degrees_with_multiplicity,
-            self.maximal_indices, self.projective_factors,
-        )
 
     @cached_property
     def degree_set(self) -> DegreeSet:
@@ -400,10 +388,6 @@ def bundled_table_names() -> tuple[str, ...]:
 # ---------------------------------------------------------------------------
 # The Lie families.
 
-def _primes(f: Factorization) -> list[int]:
-    return [p for p, _ in f.factors]
-
-
 # White's structural rules ("Degree graphs of simple groups", Rocky Mountain
 # J. Math. 39, 2009), each a union of cliques on the prime set pi, read from
 # the cyclotomic factorizations fs.
@@ -413,8 +397,8 @@ def _suzuki_rule(pi: PrimeSet, fs: tuple[Factorization, ...]) -> list:
     and Q-r+1, form a clique, and 2 is adjacent to exactly the primes of
     Q-1."""
     f_q, f_minus, f_plus_r, f_minus_r = fs
-    odd = _primes(f_minus) + _primes(f_plus_r) + _primes(f_minus_r)
-    return [odd, _primes(f_q) + _primes(f_minus)]
+    odd = f_minus.primes() | f_plus_r.primes() | f_minus_r.primes()
+    return [odd, f_q.primes() | f_minus.primes()]
 
 
 def _rank_two_rule(pi, f_q, split, torus, f_cyc) -> list:

@@ -59,15 +59,6 @@ class PrimeGraph(Frozen):
         rows = dict.fromkeys(vs.primes, 0)
         try:
             for c in cliques:
-                if len(c) == 2:
-                    # An edge, unrolled: edge lists pass thousands of these.
-                    p, q = c
-                    bp, bq = bit[p], bit[q]
-                    if bp == bq:
-                        raise ValueError(f"clique {tuple(c)} repeats a prime")
-                    rows[p] |= bq
-                    rows[q] |= bp
-                    continue
                 mask = 0
                 for p in c:
                     mask |= bit[p]

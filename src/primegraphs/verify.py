@@ -11,6 +11,7 @@ when it reached no item of its kind.
 
 from __future__ import annotations
 
+import operator
 import random
 import time
 from typing import Callable
@@ -46,8 +47,7 @@ from .prime_graph import PrimeGraph, graph_from_degrees, graph_of, product_graph
 
 
 class Bounds(Frozen):
-    """The sweep bounds, each a keyword of the constructor or, in the order
-    of `DEFAULTS`, a positional argument."""
+    """The sweep bounds: integers, each a keyword of the constructor."""
 
     # Each bound and its default: the one declaration that the constructor,
     # the repr and the `verify` flags (`cli._BOUND_FLAGS`) read.
@@ -61,14 +61,13 @@ class Bounds(Frozen):
     }
     _fields = tuple(DEFAULTS)
 
-    def __init__(self, *args: int, **kwargs: int) -> None:
-        given = dict(zip(self._fields, args))
-        if len(args) > len(given):
-            raise TypeError(f"Bounds takes at most {len(given)} positional arguments")
-        for name in kwargs:
-            if name not in self.DEFAULTS or name in given:
-                raise TypeError(f"Bounds got an unexpected or repeated argument {name!r}")
-        vars(self).update(self.DEFAULTS, **given, **kwargs)
+    def __init__(self, **given: int) -> None:
+        fields = vars(self)
+        fields.update(self.DEFAULTS)
+        for name, bound in given.items():
+            if name not in self.DEFAULTS:
+                raise TypeError(f"Bounds got an unexpected argument {name!r}")
+            fields[name] = operator.index(bound)
         # Each family's sweep bound is capped by its record (LIE_FAMILIES).
         for lie in LIE_FAMILIES.values():
             value = getattr(self, name := f"{lie.family.value}_max")
@@ -81,9 +80,6 @@ class Bounds(Frozen):
                 f"product_trials must be non-negative, got {self.product_trials}"
             )
 
-    def _key(self) -> tuple:
-        return tuple(getattr(self, name) for name in self._fields)
-
 
 class ReportEntry(Frozen):
     id: str
@@ -92,22 +88,10 @@ class ReportEntry(Frozen):
     elapsed: float
     _fields = ("id", "status", "detail", "elapsed")
 
-    def __init__(self, id: str, status: str, detail: str, elapsed: float) -> None:
-        vars(self).update(id=id, status=status, detail=detail, elapsed=elapsed)
-
-    def _key(self) -> tuple:
-        return (self.id, self.status, self.detail, self.elapsed)
-
 
 class Report(Frozen):
     entries: tuple[ReportEntry, ...]
     _fields = ("entries",)
-
-    def __init__(self, entries: tuple[ReportEntry, ...]) -> None:
-        vars(self).update(entries=entries)
-
-    def _key(self) -> tuple:
-        return (self.entries,)
 
     @property
     def ok(self) -> bool:
@@ -421,7 +405,10 @@ def _check_palfy(b: Bounds) -> tuple[bool, str]:
 def _check_product_join(b: Bounds) -> tuple[bool, str]:
     """a product with a clique-spanning second factor has at least as many
     complete vertices as that factor has vertices, over product_trials
-    random pairs of graphs on the primes up to 29"""
+    random pairs of graphs on the primes up to 29: the first factor is a
+    random graph on 1 to 6 primes; the second is a clique on 1 to 3 primes
+    outside the first, plus random edges from each prime it shares with the
+    first to the larger vertices of the second only"""
     rng = random.Random(b.seed)
     pool = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
     for trial in range(b.product_trials):

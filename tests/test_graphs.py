@@ -33,9 +33,9 @@ def complete_on(primes):
 
 
 def test_graph_construction_validates():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="repeats a prime"):
         PrimeGraph([2, 3], [(2, 2)])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="5 is not a vertex"):
         PrimeGraph([2, 3], [(2, 5)])
     g = PrimeGraph([3, 2], [(3, 2), (2, 3)])
     assert tuple(g.vertices) == (2, 3)

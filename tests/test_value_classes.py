@@ -3,8 +3,10 @@ the fields its equality and hash compare and those they ignore, checked for
 immutability and for surviving copy, deepcopy and pickle."""
 
 import copy
+import importlib
 import os
 import pickle
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -12,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import primegraphs
-from primegraphs.arithmetic import PrimeSet, factor
+from primegraphs.arithmetic import Frozen, PrimeSet, factor
 from primegraphs.census import Census, canonicalize, rows_from_edges
 from primegraphs.groups import LIE_FAMILIES, DegreeSet, DegreeTable, Family, GroupSpec, LieFamily
 from primegraphs.prime_graph import PrimeGraph
@@ -121,6 +123,33 @@ def test_copies_and_pickles_are_equal(name):
     for twin in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
         assert type(twin) is type(value) and twin == value and hash(twin) == hash(value)
         assert repr(twin) == repr(value)
+
+
+@pytest.mark.parametrize("name", ["Census", "ReportEntry", "Report"])
+def test_default_constructor_takes_exactly_the_fields(name):
+    value = VALUES[name][0]
+    fields = [getattr(value, f) for f in value._fields]
+    assert type(value)(*fields) == value
+    for wrong in (fields[:-1], [*fields, None]):
+        with pytest.raises(TypeError):
+            type(value)(*wrong)
+
+
+def test_only_the_hot_classes_and_lie_family_compare_by_hand():
+    # Every other value class compares through Frozen's `_key`, which
+    # reads `_fields`, so a field is listed once.
+    modules = [primegraphs] + [
+        importlib.import_module(f"primegraphs.{m.name}")
+        for m in pkgutil.iter_modules(primegraphs.__path__)
+    ]
+    classes = [
+        c for m in modules for c in vars(m).values()
+        if isinstance(c, type) and c.__module__ == m.__name__ and c is not Frozen
+    ]
+    assert len(classes) >= len(VALUES) + 1
+    assert [c for c in classes if "_key" in vars(c)] == []
+    by_hand = {c.__name__ for c in classes if {"__eq__", "__hash__"} & set(vars(c))}
+    assert by_hand == {"PrimeSet", "GraphClass", "PrimeGraph", "LieFamily"}
 
 
 def test_lie_family_records_compare_by_identity():

@@ -413,6 +413,20 @@ def test_bounds_accept_the_cap():
     assert Bounds(psu3_max=3037000499).psu3_max == 3037000499
 
 
+def test_bounds_take_their_six_keywords_only():
+    with pytest.raises(TypeError):
+        Bounds(1)
+    with pytest.raises(TypeError, match="bogus"):
+        Bounds(bogus=1)
+
+
+@pytest.mark.parametrize("value", [1.5, "3"])
+@pytest.mark.parametrize("field", Bounds.DEFAULTS)
+def test_bounds_reject_non_integers(field, value):
+    with pytest.raises(TypeError):
+        Bounds(**{field: value})
+
+
 def test_bounds_product_trials():
     with pytest.raises(ValueError, match="product_trials"):
         Bounds(product_trials=-1)
